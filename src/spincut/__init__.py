@@ -8,108 +8,9 @@ counting and exact rational algebra) plus a brute-force series oracle keep
 each other honest.
 """
 
-from .cutting import (
-    AdditivityReport,
-    AdditivityRow,
-    CutSpecification,
-    DimensionMismatchError,
-    ReducedComponent,
-    build_cut_data,
-    check_additivity,
-)
-from .diagram import render_diagram
-from .documents import (
-    DocumentSyntaxError,
-    SchemaError,
-    parse_cut_spec,
-    parse_dataset,
-    serialize_cut_spec,
-    serialize_dataset,
-)
-from .fixed_points import (
-    Codim2Component,
-    FixedPointData,
-    InvalidDataError,
-    IsolatedFixedPoint,
-    Violation,
-    is_polarized,
-    polarize,
-    validate,
-)
-from .kostant import (
-    NonIntegerMultiplicityError,
-    NotPolarizedError,
-    character_rational,
-    character_series,
-    component_term,
-    multiplicity,
-    multiplicity_isolated,
-    partition_count,
-    pbar,
-)
-from .laurent import (
-    LaurentPoly,
-    NotDivisibleError,
-    OddExponentError,
-    RationalChar,
-    VirtualCharacter,
-    char_sum,
-    exact_divide,
-    rational_combine,
-    to_character,
-)
-from .sphere import (
-    canonical_cut_spec,
-    closed_form_multiplicity,
-    cut_identity,
-    sphere_data,
-)
+from .kostant import character_rational, multiplicity
+from .sphere import sphere_data
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditivityReport",
-    "AdditivityRow",
-    "Codim2Component",
-    "CutSpecification",
-    "DimensionMismatchError",
-    "DocumentSyntaxError",
-    "FixedPointData",
-    "InvalidDataError",
-    "IsolatedFixedPoint",
-    "LaurentPoly",
-    "NonIntegerMultiplicityError",
-    "NotDivisibleError",
-    "NotPolarizedError",
-    "OddExponentError",
-    "RationalChar",
-    "ReducedComponent",
-    "SchemaError",
-    "Violation",
-    "VirtualCharacter",
-    "build_cut_data",
-    "canonical_cut_spec",
-    "char_sum",
-    "character_rational",
-    "character_series",
-    "check_additivity",
-    "closed_form_multiplicity",
-    "component_term",
-    "cut_identity",
-    "exact_divide",
-    "is_polarized",
-    "multiplicity",
-    "multiplicity_isolated",
-    "parse_cut_spec",
-    "parse_dataset",
-    "partition_count",
-    "pbar",
-    "polarize",
-    "rational_combine",
-    "render_diagram",
-    "serialize_cut_spec",
-    "serialize_dataset",
-    "sphere_data",
-    "to_character",
-    "validate",
-]
+__all__ = ["character_rational", "multiplicity", "sphere_data"]

@@ -27,18 +27,15 @@ from .documents import (
     parse_dataset,
     serialize_dataset,
 )
-from .fixed_points import FixedPointData, InvalidDataError, polarize, validate
-from .kostant import (
-    NonIntegerMultiplicityError,
-    character_rational,
-    multiplicity,
+from .fixed_points import (
+    FixedPointData,
+    InvalidDataError,
+    flip_codim2_signs,
+    polarize,
+    validate,
 )
-from .laurent import (
-    NotDivisibleError,
-    OddExponentError,
-    VirtualCharacter,
-    char_sum,
-)
+from .kostant import NonIntegerMultiplicityError, character_rational, multiplicity
+from .laurent import NotDivisibleError, OddExponentError, VirtualCharacter
 from . import sphere as sphere_catalogue
 
 
@@ -63,7 +60,7 @@ def format_additivity_report(report) -> str:
 
 
 def _load_dataset(path: str) -> FixedPointData:
-    data = parse_dataset(Path(path).read_text(encoding="utf-8"))
+    data = parse_dataset(Path(path).read_bytes())
     violations = validate(data)
     if violations:
         details = "\n".join(f"  {v}" for v in violations)
@@ -73,20 +70,22 @@ def _load_dataset(path: str) -> FixedPointData:
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
     data = _load_dataset(args.input)
+    if args.flip_codim2_signs:
+        data = flip_codim2_signs(data)
     if args.beta is not None:
         # Counting path: polarize first, then one partition query per component.
-        print(multiplicity(polarize(data), args.beta, args.paper_signs))
+        print(multiplicity(polarize(data), args.beta))
     elif args.diagram:
-        for line in render_diagram(character_rational(data, args.paper_signs)):
+        for line in render_diagram(character_rational(data)):
             print(line)
     else:
-        print(format_character_report(character_rational(data, args.paper_signs)))
+        print(format_character_report(character_rational(data)))
     return 0
 
 
 def _cmd_cut(args: argparse.Namespace) -> int:
     data = _load_dataset(args.input)
-    spec = parse_cut_spec(Path(args.spec).read_text(encoding="utf-8"))
+    spec = parse_cut_spec(Path(args.spec).read_bytes())
     plus, minus = build_cut_data(data, spec)
     Path(args.out_plus).write_text(serialize_dataset(plus), encoding="utf-8")
     Path(args.out_minus).write_text(serialize_dataset(minus), encoding="utf-8")
@@ -95,15 +94,18 @@ def _cmd_cut(args: argparse.Namespace) -> int:
 
 def _cmd_check_additivity(args: argparse.Namespace) -> int:
     data = _load_dataset(args.input)
-    spec = parse_cut_spec(Path(args.spec).read_text(encoding="utf-8"))
+    spec = parse_cut_spec(Path(args.spec).read_bytes())
     plus, minus = build_cut_data(data, spec)
-    report = check_additivity(data, plus, minus, args.paper_signs)
+    if args.flip_codim2_signs:
+        # After the cut, so the reduced components it adds flip as well.
+        data, plus, minus = (flip_codim2_signs(d) for d in (data, plus, minus))
+    report = check_additivity(data, plus, minus)
     print(format_additivity_report(report))
     return 0 if report.holds else 3
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    data = parse_dataset(Path(args.input).read_text(encoding="utf-8"))
+    data = parse_dataset(Path(args.input).read_bytes())
     violations = validate(data)
     if violations:
         for violation in violations:
@@ -179,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     quantize.add_argument(
         "--paper-signs",
         action="store_true",
+        dest="flip_codim2_signs",
         help="flip the sign of every codimension-2 contribution",
     )
     quantize.set_defaults(func=_cmd_quantize)
@@ -198,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--paper-signs",
         action="store_true",
+        dest="flip_codim2_signs",
         help="flip the sign of every codimension-2 contribution",
     )
     check.set_defaults(func=_cmd_check_additivity)
@@ -225,10 +229,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentSyntaxError, SchemaError, InvalidDataError, DimensionMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (
+        DocumentSyntaxError,
+        SchemaError,
+        InvalidDataError,
+        DimensionMismatchError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotDivisibleError, OddExponentError, NonIntegerMultiplicityError) as exc:

@@ -146,23 +146,20 @@ def build_cut_data(
     return plus, minus
 
 
-def _character_for(label: str, data: FixedPointData, paper_signs: bool) -> VirtualCharacter:
+def _character_for(label: str, data: FixedPointData) -> VirtualCharacter:
     try:
-        return character_rational(data, paper_signs)
+        return character_rational(data)
     except NotDivisibleError as exc:
         raise NotDivisibleError(f"{label} dataset is not realizable: {exc}") from exc
 
 
 def check_additivity(
-    data: FixedPointData,
-    plus: FixedPointData,
-    minus: FixedPointData,
-    paper_signs: bool = False,
+    data: FixedPointData, plus: FixedPointData, minus: FixedPointData
 ) -> AdditivityReport:
     """Compare char(data) with char(plus) + char(minus), weight by weight."""
-    original = _character_for("original", data, paper_signs)
-    plus_char = _character_for("plus", plus, paper_signs)
-    minus_char = _character_for("minus", minus, paper_signs)
+    original = _character_for("original", data)
+    plus_char = _character_for("plus", plus)
+    minus_char = _character_for("minus", minus)
     combined = char_sum(plus_char, minus_char)
     weights = sorted(
         set(original.support()) | set(plus_char.support()) | set(minus_char.support())

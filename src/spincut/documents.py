@@ -21,6 +21,8 @@ index coverage) belong to fixed_points.validate and cutting.build_cut_data.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from typing import Any
 
 from .cutting import CutSpecification, ReducedComponent
@@ -44,13 +46,32 @@ class SchemaError(ValueError):
         self.field = field
 
 
+def _error_at(text: str, offset: int, message: str) -> DocumentSyntaxError:
+    line = text.count("\n", 0, offset) + 1
+    return DocumentSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 def _load_json(text: str | bytes) -> Any:
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = text[: exc.start].decode("utf-8")
+            message = f"byte 0x{text[exc.start]:02x} is not UTF-8"
+            raise _error_at(before, len(before), message) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:
+        # The interpreter's limit on int digits guards against huge numbers;
+        # point at the first run of more digits than that which is not the
+        # fraction or exponent of a float.
+        limit = sys.get_int_max_str_digits()
+        found = re.search(r"(?<![\d.eE+-])-?\d{%d,}" % (limit + 1), text)
+        if found is None:
+            raise
+        raise _error_at(text, found.start(), f"integer longer than {limit} digits") from exc
 
 
 def _require_object(value: Any, path: str, allowed: set[str]) -> dict:
@@ -182,6 +203,8 @@ def parse_cut_spec(text: str | bytes) -> CutSpecification:
             raise SchemaError(path, "component index must be an integer") from None
         if side not in ("plus", "minus"):
             raise SchemaError(path, f'side must be "plus" or "minus", got {side!r}')
+        if index in assignments:
+            raise SchemaError(path, f"component {index} is assigned twice")
         assignments[index] = side
     reduced = []
     for i, entry in enumerate(_require_list(doc, "cutspec", "reduced")):

@@ -10,7 +10,7 @@ entries first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class InvalidDataError(ValueError):
@@ -218,3 +218,12 @@ def polarize(data: FixedPointData) -> FixedPointData:
         isolated=tuple(_polarize_point(p) for p in data.isolated),
         codim2=tuple(_polarize_component(c) for c in data.codim2),
     )
+
+
+def flip_codim2_signs(data: FixedPointData) -> FixedPointData:
+    """Negate the sign of every codimension-2 component; nothing else changes.
+
+    This is the paper's orientation convention for codimension-2 components,
+    under which each of them contributes with the opposite overall sign.
+    """
+    return replace(data, codim2=tuple(replace(c, sign=-c.sign) for c in data.codim2))

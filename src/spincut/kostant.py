@@ -13,11 +13,10 @@ Conventions.  Characters live in the doubled-exponent variable of the laurent
 module, so the weight beta sits at q-exponent 2*beta and a determinant weight
 mu contributes the monomial q^mu.  All half-integer bookkeeping (partition
 targets, expansion steps k, surface integrand values) is carried doubled and
-integrality is asserted only on final multiplicities.  The default sign
-convention makes a dim-0 codimension-2 component contribute exactly like the
-isolated point with the same data; paper_signs=True switches every
-codimension-2 contribution to the opposite overall sign, the variant in which
-the surface integrand carries one extra orientation factor per component.
+integrality is asserted only on final multiplicities.  A dim-0 codimension-2
+component contributes exactly like the isolated point with the same data; the
+paper's opposite sign convention is fixed_points.flip_codim2_signs applied to
+the data.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Sequence
 from .fixed_points import (
     Codim2Component,
     FixedPointData,
-    InvalidDataError,
     IsolatedFixedPoint,
     is_polarized,
     require_valid,
@@ -85,23 +83,7 @@ def _count_odd(alphas: tuple[int, ...], remaining: int) -> int:
     return total
 
 
-def multiplicity_isolated(data: FixedPointData, beta: int) -> int:
-    """Weight multiplicity from isolated fixed points alone.
-
-    The multiplicity of beta is the signed sum over points of the partition
-    count at target beta - mu/2 (doubled: 2*beta - mu).
-    """
-    require_valid(data)
-    if data.codim2:
-        raise InvalidDataError("isolated-only formula, but codim2 components are present")
-    _require_polarized(data)
-    total = 0
-    for point in data.isolated:
-        total += point.sign * partition_count(point.weights, 2 * beta - point.det_weight)
-    return total
-
-
-def pbar(comp: Codim2Component, k_doubled: int, paper_signs: bool = False) -> int:
+def pbar(comp: Codim2Component, k_doubled: int) -> int:
     """Doubled surface integrand of a codimension-2 component at expansion step k.
 
     For a point component the integrand is the constant 1 (doubled: 2).  For a
@@ -114,13 +96,11 @@ def pbar(comp: Codim2Component, k_doubled: int, paper_signs: bool = False) -> in
     if k_doubled <= 0 or k_doubled % 2 == 0:
         raise ValueError("k must be a positive half-integer, passed doubled (odd)")
     if comp.dim == 0:
-        value = 2
-    else:
-        value = (comp.chern_l - comp.chern_n) - k_doubled * comp.chern_n
-    return -value if paper_signs else value
+        return 2
+    return (comp.chern_l - comp.chern_n) - k_doubled * comp.chern_n
 
 
-def multiplicity(data: FixedPointData, beta: int, paper_signs: bool = False) -> int:
+def multiplicity(data: FixedPointData, beta: int) -> int:
     """Weight multiplicity by counting, one weight at a time.
 
     Isolated points contribute signed partition counts.  A codimension-2
@@ -139,7 +119,7 @@ def multiplicity(data: FixedPointData, beta: int, paper_signs: bool = False) -> 
     for comp in data.codim2:
         k_doubled, leftover = divmod(comp.det_weight - 2 * beta, comp.normal_weight)
         if leftover == 0 and k_doubled > 0 and k_doubled % 2 == 1:
-            doubled += comp.sign * pbar(comp, k_doubled, paper_signs)
+            doubled += comp.sign * pbar(comp, k_doubled)
     if doubled % 2:
         raise NonIntegerMultiplicityError(
             f"half multiplicity at weight {beta}: doubled total {doubled} is odd"
@@ -147,9 +127,7 @@ def multiplicity(data: FixedPointData, beta: int, paper_signs: bool = False) -> 
     return doubled // 2
 
 
-def component_term(
-    comp: IsolatedFixedPoint | Codim2Component, paper_signs: bool = False
-) -> RationalChar:
+def component_term(comp: IsolatedFixedPoint | Codim2Component) -> RationalChar:
     """Closed-form rational contribution of a single component.
 
     Isolated point: sign * q^mu / prod_j (q^alpha_j - q^-alpha_j).  Point
@@ -182,12 +160,10 @@ def component_term(
         )
         numerator = base * series_num
         denominator = (one_minus_x * one_minus_x) * LaurentPoly.monomial(0, 2)
-    if paper_signs:
-        numerator = -numerator
     return RationalChar(numerator, denominator)
 
 
-def character_rational(data: FixedPointData, paper_signs: bool = False) -> VirtualCharacter:
+def character_rational(data: FixedPointData) -> VirtualCharacter:
     """Full character by exact rational algebra.
 
     Every component's closed form is combined over a common denominator; the
@@ -197,7 +173,7 @@ def character_rational(data: FixedPointData, paper_signs: bool = False) -> Virtu
     through.  Polarization is not required.
     """
     require_valid(data)
-    terms = [component_term(comp, paper_signs) for comp in data.components()]
+    terms = [component_term(comp) for comp in data.components()]
     if not terms:
         return VirtualCharacter.zero()
     combined = rational_combine(terms)
@@ -205,9 +181,7 @@ def character_rational(data: FixedPointData, paper_signs: bool = False) -> Virtu
     return to_character(quotient)
 
 
-def character_series(
-    data: FixedPointData, window: tuple[int, int], paper_signs: bool = False
-) -> dict[int, int]:
+def character_series(data: FixedPointData, window: tuple[int, int]) -> dict[int, int]:
     """Brute-force oracle: truncated geometric expansion over a finite window.
 
     Expands every component term as a descending power series, truncated as
@@ -229,7 +203,7 @@ def character_series(
         k_doubled = 1
         while weight >= lo:
             if weight <= hi:
-                value = comp.sign * pbar(comp, k_doubled, paper_signs)
+                value = comp.sign * pbar(comp, k_doubled)
                 doubled[weight] = doubled.get(weight, 0) + value
             weight -= comp.normal_weight
             k_doubled += 2

@@ -109,25 +109,6 @@ class LaurentPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            if e == 0:
-                term = str(c)
-            else:
-                mag = "q" if e == 1 else f"q^{e}"
-                if c == 1:
-                    term = mag
-                elif c == -1:
-                    term = f"-{mag}"
-                else:
-                    term = f"{c}*{mag}"
-            parts.append(term)
-        joined = " + ".join(parts)
-        return joined.replace("+ -", "- ")
-
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items())!r})"
 

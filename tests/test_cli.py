@@ -136,6 +136,150 @@ def test_quantize_paper_signs(tmp_path, capsys):
     assert (code, out) == (0, "1: 1\n2: 1\n")
     code, out, _ = run_cli(capsys, "quantize", str(path), "--character", "--paper-signs")
     assert (code, out) == (0, "1: -1\n2: -1\n")
+    for beta, expected in ((-1, "0"), (0, "0"), (1, "-1"), (2, "-1"), (3, "0"), (4, "0")):
+        argv = ("quantize", str(path), "--beta", str(beta), "--paper-signs")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_quantize_paper_signs_beta_on_unpolarized_data(tmp_path, capsys):
+    # The first component has a negative normal weight; the flipped signs and
+    # polarization must give the same answers as on the polarized form above.
+    text = """\
+{
+  "half_dimension": 1,
+  "isolated": [],
+  "codim2": [
+    {"dim": 0, "normal_weight": -1, "det_weight": 5, "sign": -1},
+    {"dim": 0, "normal_weight": 1, "det_weight": 1, "sign": -1}
+  ]
+}
+"""
+    path = tmp_path / "mixed.json"
+    path.write_text(text, encoding="utf-8")
+    for beta, expected in ((0, "0"), (1, "-1"), (2, "-1"), (3, "0")):
+        argv = ("quantize", str(path), "--beta", str(beta), "--paper-signs")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+        code, out, err = run_cli(capsys, "quantize", str(path), "--beta", str(beta))
+        assert (code, out, err) == (0, expected.lstrip("-") + "\n", "")
+
+
+PAPER_SIGNS_SURFACE_DATA = """\
+{
+  "half_dimension": 2,
+  "isolated": [],
+  "codim2": [
+    {"dim": 2, "normal_weight": 1, "det_weight": 1, "sign": -1, "chern_L": -2, "chern_N": 1},
+    {"dim": 2, "normal_weight": 1, "det_weight": 3, "sign": 1, "chern_L": 0, "chern_N": 1}
+  ]
+}
+"""
+PAPER_SIGNS_SURFACE_SPEC = """\
+{
+  "assignments": {"0": "minus", "1": "plus"},
+  "reduced": [{"dim": 2, "chern_Lred": -3, "chern_Nminus": 1}]
+}
+"""
+
+
+def test_check_additivity_paper_signs_sphere_equator(tmp_path, capsys):
+    # The signs flip on the cut's dim-0 reduced components too, so the plus
+    # half is no longer realizable; flipping only the input would not see it.
+    data_path = write_dataset(tmp_path, sphere_data(1, 2))
+    spec_path = write_spec(tmp_path, canonical_cut_spec())
+    code, out, err = run_cli(capsys, "check-additivity", data_path, spec_path, "--paper-signs")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: plus dataset is not realizable: "
+        "remainder is nonzero: quotient is not a Laurent polynomial\n"
+    )
+
+
+def test_check_additivity_paper_signs_surface_cut(tmp_path, capsys):
+    data_path = tmp_path / "surfaces.json"
+    data_path.write_text(PAPER_SIGNS_SURFACE_DATA, encoding="utf-8")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(PAPER_SIGNS_SURFACE_SPEC, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check-additivity", str(data_path), str(spec_path))
+    assert (code, out, err) == (0, "1: (-1) = (-1) + 0\nADDITIVITY HOLDS\n", "")
+    code, out, err = run_cli(
+        capsys, "check-additivity", str(data_path), str(spec_path), "--paper-signs"
+    )
+    assert (code, out, err) == (0, "1: 1 = 1 + 0\nADDITIVITY HOLDS\n", "")
+
+
+def test_check_additivity_unrealizable_only_under_paper_signs(tmp_path, capsys):
+    # An isolated point and a dim-0 component that cancel exactly; with the
+    # component's sign flipped they add up instead, and nothing divides.
+    data_path = tmp_path / "cancel.json"
+    data_path.write_text(
+        '{"half_dimension": 1,'
+        ' "isolated": [{"weights": [1], "det_weight": 1, "sign": 1}],'
+        ' "codim2": [{"dim": 0, "normal_weight": 1, "det_weight": 1, "sign": -1}]}',
+        encoding="utf-8",
+    )
+    spec_path = write_spec(tmp_path, canonical_cut_spec())
+    code, out, err = run_cli(capsys, "check-additivity", str(data_path), spec_path)
+    assert (code, out, err) == (0, "ADDITIVITY HOLDS\n", "")
+    code, out, err = run_cli(
+        capsys, "check-additivity", str(data_path), spec_path, "--paper-signs"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: original dataset is not realizable: "
+        "remainder is nonzero: quotient is not a Laurent polynomial\n"
+    )
+
+
+def _assert_one_line_error(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_malformed_bytes_and_huge_integers_exit_1(tmp_path, capsys):
+    good = serialize_dataset(sphere_data(1, 2))
+    spec_path = write_spec(tmp_path, canonical_cut_spec())
+    malformed = {
+        "undecodable": good.encode("utf-8") + b"\xff",
+        "huge": good.replace('"det_weight": 7', '"det_weight": ' + "7" * 5001).encode(),
+    }
+    outs = ["--out-plus", str(tmp_path / "plus.json"), "--out-minus", str(tmp_path / "minus.json")]
+    for name, raw in malformed.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(raw)
+        for argv in (
+            ["quantize", str(path)],
+            ["quantize", str(path), "--beta", "2"],
+            ["validate", str(path)],
+            ["check-additivity", str(path), spec_path],
+            ["cut", str(path), spec_path, *outs],
+        ):
+            _assert_one_line_error(*run_cli(capsys, *argv))
+    data_path = write_dataset(tmp_path, sphere_data(1, 2))
+    canonical = serialize_cut_spec(canonical_cut_spec()).encode("utf-8")
+    for raw in (canonical + b"\xfe", canonical.replace(b'"dim": 0', b'"dim": 1' + b"0" * 5000)):
+        bad_spec = tmp_path / "bad_spec.json"
+        bad_spec.write_bytes(raw)
+        _assert_one_line_error(*run_cli(capsys, "cut", data_path, str(bad_spec), *outs))
+    assert not (tmp_path / "plus.json").exists()
+    assert not (tmp_path / "minus.json").exists()
+
+
+def test_cut_rejects_an_index_given_twice(tmp_path, capsys):
+    data_path = write_dataset(tmp_path, sphere_data(1, 2))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        '{"assignments": {"0": "plus", "1": "minus", "00": "minus"}, "reduced": [{"dim": 0}]}',
+        encoding="utf-8",
+    )
+    out_plus, out_minus = tmp_path / "plus.json", tmp_path / "minus.json"
+    outs = ("--out-plus", str(out_plus), "--out-minus", str(out_minus))
+    code, out, err = run_cli(capsys, "cut", data_path, str(spec_path), *outs)
+    _assert_one_line_error(code, out, err)
+    assert err == "error: assignments.00: component 0 is assigned twice\n"
+    assert not out_plus.exists() and not out_minus.exists()
 
 
 def test_cut_writes_canonical_datasets(tmp_path, capsys):

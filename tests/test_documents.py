@@ -133,6 +133,37 @@ def test_syntax_error_carries_position():
     assert exc.value.column >= 1
 
 
+def test_undecodable_byte_is_a_syntax_error_at_its_position():
+    for raw, position in (
+        (b"\xff", (1, 1)),
+        (SPHERE_TEXT.encode("utf-8") + b"\xff", (SPHERE_TEXT.count("\n") + 1, 1)),
+        # columns count characters, so the two-byte \u00e9 takes one
+        ('{\n  "h\u00e9": '.encode("utf-8") + b"\xfe}", (2, 9)),
+    ):
+        with pytest.raises(DocumentSyntaxError, match="is not UTF-8") as exc:
+            parse_dataset(raw)
+        assert (exc.value.line, exc.value.column) == position
+    with pytest.raises(DocumentSyntaxError, match="byte 0xfe"):
+        parse_cut_spec(b'{"assignments": {"0": "plus\xfe"}}')
+
+
+def test_integer_over_the_digit_limit_is_a_syntax_error():
+    # The interpreter's int-digit limit stays the size guard (4300 by default).
+    digits = "7" * 5001
+    text = '{\n  "half_dimension": 1,\n  "isolated": [{"det_weight": ' + digits + "}]}"
+    with pytest.raises(DocumentSyntaxError, match="integer longer than") as exc:
+        parse_dataset(text)
+    assert (exc.value.line, exc.value.column) == (3, 31)
+    with pytest.raises(DocumentSyntaxError, match="integer longer than") as exc:
+        parse_dataset(text.replace(digits, "-" + digits).encode("utf-8"))
+    assert (exc.value.line, exc.value.column) == (3, 31)
+    # Long fractions are floats, not integers; the error points past them.
+    text = '{"x": [0.' + digits + ", " + digits + "]}"
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_cut_spec(text)
+    assert exc.value.column == text.rindex(digits) + 1
+
+
 CUT_TEXT = """\
 {
   "assignments": {
@@ -182,6 +213,16 @@ def test_cut_spec_round_trip_on_generated_cases():
 def test_cut_spec_rejects_bad_side():
     with pytest.raises(SchemaError):
         parse_cut_spec('{"assignments": {"0": "left"}, "reduced": []}')
+
+
+def test_cut_spec_rejects_an_index_given_twice():
+    for text in (
+        '{"assignments": {"0": "plus", "00": "minus"}, "reduced": []}',
+        '{"assignments": {"1": "plus", "0": "plus", " 1": "plus"}, "reduced": []}',
+    ):
+        with pytest.raises(SchemaError, match="assigned twice") as exc:
+            parse_cut_spec(text)
+        assert exc.value.field in ("assignments.00", "assignments. 1")
 
 
 def test_cut_spec_rejects_non_integer_index():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,13 +10,14 @@ from spincut.fixed_points import (
     FixedPointData,
     InvalidDataError,
     IsolatedFixedPoint,
+    flip_codim2_signs,
     is_polarized,
     polarize,
     require_valid,
     validate,
 )
 
-from .generators import random_polarized_dataset
+from .generators import mixed_sign_variant, random_polarized_dataset, realizable_dataset
 
 
 def test_valid_sphere_point_passes():
@@ -172,6 +174,36 @@ def test_polarize_rejects_invalid_data():
     )
     with pytest.raises(InvalidDataError):
         polarize(data)
+
+
+def test_flip_codim2_signs_example():
+    iso = IsolatedFixedPoint(weights=(1,), det_weight=3, sign=1)
+    point = Codim2Component(dim=0, normal_weight=-2, det_weight=2, sign=-1)
+    data = FixedPointData(half_dimension=1, isolated=(iso,), codim2=(point, point))
+    flipped = Codim2Component(dim=0, normal_weight=-2, det_weight=2, sign=1)
+    assert flip_codim2_signs(data) == FixedPointData(1, (iso,), (flipped, flipped))
+    surface = Codim2Component(2, 3, 1, 1, chern_l=-2, chern_n=3)
+    assert flip_codim2_signs(FixedPointData(2, (), (surface,))).codim2 == (
+        Codim2Component(2, 3, 1, -1, chern_l=-2, chern_n=3),
+    )
+
+
+def test_flip_codim2_signs_is_an_involution_on_signs_only():
+    rng = random.Random(13)
+    for _ in range(50):
+        data = random_polarized_dataset(rng)
+        flipped = flip_codim2_signs(data)
+        assert flip_codim2_signs(flipped) == data
+        assert (flipped.half_dimension, flipped.isolated) == (data.half_dimension, data.isolated)
+        assert flipped.codim2 == tuple(replace(c, sign=-c.sign) for c in data.codim2)
+        assert validate(flipped) == []
+
+
+def test_flip_codim2_signs_commutes_with_polarize():
+    rng = random.Random(19)
+    for _ in range(80):
+        data = mixed_sign_variant(rng, realizable_dataset(rng))
+        assert polarize(flip_codim2_signs(data)) == flip_codim2_signs(polarize(data))
 
 
 def test_components_ordering():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from spincut.fixed_points import (
     Codim2Component,
     FixedPointData,
-    InvalidDataError,
     IsolatedFixedPoint,
+    flip_codim2_signs,
     polarize,
 )
 from spincut.kostant import (
@@ -21,7 +21,6 @@ from spincut.kostant import (
     character_series,
     component_term,
     multiplicity,
-    multiplicity_isolated,
     partition_count,
     pbar,
 )
@@ -76,18 +75,9 @@ def test_partition_count_matches_naive_enumeration(alphas, target_doubled):
 
 
 def test_multiplicity_isolated_examples():
-    assert multiplicity_isolated(sphere_data(0, 2), 1) == 1
-    assert multiplicity_isolated(sphere_data(0, 2), 0) == 0
-    assert multiplicity_isolated(sphere_data(2, -3), 1) == -1
-
-
-def test_multiplicity_isolated_rejects_codim2():
-    data = FixedPointData(
-        half_dimension=1,
-        codim2=(Codim2Component(dim=0, normal_weight=1, det_weight=1, sign=1),),
-    )
-    with pytest.raises(InvalidDataError):
-        multiplicity_isolated(data, 0)
+    assert multiplicity(sphere_data(0, 2), 1) == 1
+    assert multiplicity(sphere_data(0, 2), 0) == 0
+    assert multiplicity(sphere_data(2, -3), 1) == -1
 
 
 def test_multiplicity_isolated_requires_polarization():
@@ -96,7 +86,7 @@ def test_multiplicity_isolated_requires_polarization():
         isolated=(IsolatedFixedPoint(weights=(-1,), det_weight=1, sign=1),),
     )
     with pytest.raises(NotPolarizedError):
-        multiplicity_isolated(data, 0)
+        multiplicity(data, 0)
 
 
 def test_pbar_examples():
@@ -107,11 +97,6 @@ def test_pbar_examples():
     assert pbar(flat, 1) == 2
     steep = Codim2Component(dim=2, normal_weight=1, det_weight=1, sign=1, chern_l=0, chern_n=2)
     assert pbar(steep, 3) == -8
-
-
-def test_pbar_paper_signs_negates():
-    comp = Codim2Component(dim=2, normal_weight=1, det_weight=1, sign=1, chern_l=0, chern_n=2)
-    assert pbar(comp, 3, paper_signs=True) == 8
 
 
 def test_pbar_rejects_bad_step_and_unpolarized_component():
@@ -152,7 +137,7 @@ def test_dim0_component_matches_isolated_point():
             isolated=(IsolatedFixedPoint(weights=(a,), det_weight=mu, sign=sign),),
         )
         for beta in range(-12, 13):
-            assert multiplicity(as_comp, beta) == multiplicity_isolated(as_point, beta)
+            assert multiplicity(as_comp, beta) == multiplicity(as_point, beta)
         assert component_term(as_comp.codim2[0]) == component_term(as_point.isolated[0])
 
 
@@ -267,11 +252,12 @@ def test_paper_signs_negates_pure_codim2_character():
             Codim2Component(dim=0, normal_weight=1, det_weight=1, sign=-1),
         ),
     )
+    flipped = flip_codim2_signs(data)
     assert character_rational(data) == VirtualCharacter({1: 1, 2: 1})
-    assert character_rational(data, paper_signs=True) == VirtualCharacter({1: -1, 2: -1})
+    assert character_rational(flipped) == VirtualCharacter({1: -1, 2: -1})
     for beta in range(-5, 6):
-        assert multiplicity(data, beta, paper_signs=True) == -multiplicity(data, beta)
-    assert character_series(data, (-5, 5), paper_signs=True) == {1: -1, 2: -1}
+        assert multiplicity(flipped, beta) == -multiplicity(data, beta)
+    assert character_series(flipped, (-5, 5)) == {1: -1, 2: -1}
 
 
 def test_paper_signs_consistent_across_paths():
@@ -280,9 +266,10 @@ def test_paper_signs_consistent_across_paths():
         data = realizable_dataset(rng, m=2)
         if not data.codim2:
             continue
-        char = character_rational(data, paper_signs=True)
-        series = character_series(data, (-30, 30), paper_signs=True)
+        data = flip_codim2_signs(data)
+        char = character_rational(data)
+        series = character_series(data, (-30, 30))
         for beta in range(-30, 31):
             expected = series.get(beta, 0)
-            assert multiplicity(data, beta, paper_signs=True) == expected
+            assert multiplicity(data, beta) == expected
             assert char.multiplicity(beta) == expected
