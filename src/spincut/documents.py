@@ -14,8 +14,9 @@ Cut specification schema:
     {"assignments": {"<component index>": "plus"|"minus"},
      "reduced": [{"dim": 0} | {"dim": 2, "chern_Lred": int, "chern_Nminus": int}]}
 
-Parsing checks structure and types only; semantic rules (parity, sign values,
-index coverage) belong to fixed_points.validate and cutting.build_cut_data.
+Parsing checks structure and types only (a key given twice in one object is a
+structural error); semantic rules (parity, sign values, index coverage) belong
+to fixed_points.validate and cutting.build_cut_data.
 """
 
 from __future__ import annotations
@@ -60,9 +61,15 @@ def _load_json(text: str | bytes) -> Any:
             message = f"byte 0x{text[exc.start]:02x} is not UTF-8"
             raise _error_at(before, len(before), message) from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        offset, depth = _deepest_bracket(text)
+        message = f"nested {depth} levels deep, past the parser's recursion limit"
+        raise _error_at(text, offset, message) from exc
+    except SchemaError:  # a repeated key, from _unique_keys
+        raise
     except ValueError as exc:
         # The interpreter's limit on int digits guards against huge numbers;
         # point at the first run of more digits than that which is not the
@@ -72,6 +79,30 @@ def _load_json(text: str | bytes) -> Any:
         if found is None:
             raise
         raise _error_at(text, found.start(), f"integer longer than {limit} digits") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(json.dumps(key), "key given twice in one object")
+            seen.add(key)
+    return obj
+
+
+def _deepest_bracket(text: str) -> tuple[int, int]:
+    # Offset and depth of the most deeply nested bracket outside strings.
+    depth = deepest = offset = 0
+    for token in re.finditer(r'"(?:[^"\\]|\\.)*"|[\[{\]}]', text):
+        if token.group() in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, offset = depth, token.start()
+        elif token.group() in ("]", "}"):
+            depth -= 1
+    return offset, deepest
 
 
 def _require_object(value: Any, path: str, allowed: set[str]) -> dict:

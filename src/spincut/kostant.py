@@ -2,7 +2,8 @@
 
 Two independent routes compute the same thing.  The counting route evaluates
 one weight at a time: each isolated point contributes a signed count of
-positive half-integer partitions, and each codimension-2 component
+positive half-integer partitions (closed form for two weights, peeled
+enumeration above), and each codimension-2 component
 contributes a signed surface integral when its unique expansion step lands on
 the queried weight.  The rational route assembles every component's closed
 form over a common denominator, divides exactly, and reads off the whole
@@ -21,6 +22,7 @@ the data.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 from .fixed_points import (
@@ -58,29 +60,50 @@ def partition_count(alphas: Sequence[int], target_doubled: int) -> int:
 
     The target is passed doubled.  Writing each k_j as d_j/2 with d_j an odd
     positive integer, the count is the number of solutions of
-    sum d_j*alpha_j = -target_doubled, found by bounded nested enumeration.
+    sum d_j*alpha_j = -target_doubled: a closed form for two weights, peeled
+    enumeration above (one loop per weight beyond the two smallest).
     """
     if not alphas:
         raise ValueError("at least one weight is required")
     if any(a <= 0 for a in alphas):
         raise ValueError("partition weights must be strictly positive")
-    return _count_odd(tuple(alphas), -target_doubled)
+    return _count_odd(tuple(sorted(alphas)), -target_doubled)
 
 
 def _count_odd(alphas: tuple[int, ...], remaining: int) -> int:
-    first = alphas[0]
+    # alphas is sorted ascending; the largest weight is peeled first, so the
+    # loop runs the fewest times and ends on the two-weight closed form.
     if len(alphas) == 1:
         if remaining <= 0:
             return 0
-        d, leftover = divmod(remaining, first)
+        d, leftover = divmod(remaining, alphas[0])
         return 1 if leftover == 0 and d % 2 == 1 else 0
-    rest_floor = sum(alphas[1:])  # every remaining d_j is at least 1
+    if len(alphas) == 2:
+        return _count_odd_pair(alphas[0], alphas[1], remaining)
+    rest, last = alphas[:-1], alphas[-1]
+    rest_floor = sum(rest)  # every remaining d_j is at least 1
     total = 0
-    d = 1
-    while d * first + rest_floor <= remaining:
-        total += _count_odd(alphas[1:], remaining - d * first)
-        d += 2
+    remaining -= last
+    while remaining >= rest_floor:
+        total += _count_odd(rest, remaining)
+        remaining -= 2 * last
     return total
+
+
+def _count_odd_pair(a: int, b: int, remaining: int) -> int:
+    # d = 2e + 1 turns the count into coin exchange: nonnegative (e1, e2)
+    # with e1*a + e2*b = n.  Over a, b, n divided by their gcd, e1 is fixed
+    # modulo b, and the solutions are its residue e1 plus multiples of b
+    # while e1*a <= n (Sturmfels, "On vector partition functions", 1995).
+    n, odd = divmod(remaining - a - b, 2)
+    if n < 0 or odd:
+        return 0
+    g = gcd(a, b)
+    if n % g:
+        return 0
+    a, b, n = a // g, b // g, n // g
+    e1 = n * pow(a, -1, b) % b
+    return (n // a - e1) // b + 1 if e1 * a <= n else 0
 
 
 def pbar(comp: Codim2Component, k_doubled: int) -> int:

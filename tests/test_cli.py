@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 import subprocess
 import sys
+import time
 
 from spincut.cli import format_additivity_report, format_character_report, main
 from spincut.cutting import build_cut_data, check_additivity
@@ -72,6 +74,26 @@ def test_quantize_beta_agrees_with_character(tmp_path, capsys):
             code, out, _ = run_cli(capsys, "quantize", path, "--beta", str(beta))
             assert code == 0
             assert int(out) == char.get(beta, 0)
+
+
+def test_quantize_beta_far_below_an_m2_product(tmp_path, capsys):
+    # P_{1,2} x P_{0,1}: four m=2 points whose partition counts at this beta
+    # are each about 10**8 and cancel exactly.
+    points = tuple(
+        IsolatedFixedPoint(
+            weights=a.weights + b.weights,
+            det_weight=a.det_weight + b.det_weight,
+            sign=a.sign * b.sign,
+        )
+        for a, b in itertools.product(sphere_data(1, 2).isolated, sphere_data(0, 1).isolated)
+    )
+    path = write_dataset(tmp_path, FixedPointData(half_dimension=2, isolated=points))
+    assert run_cli(capsys, "quantize", path) == (0, "3: 1\n4: 1\n", "")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "quantize", path, "--beta", "-100000000")
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (0, "0\n", "")
+    assert elapsed < 1.0
 
 
 def test_quantize_diagram(tmp_path, capsys):
@@ -279,6 +301,48 @@ def test_cut_rejects_an_index_given_twice(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cut", data_path, str(spec_path), *outs)
     _assert_one_line_error(code, out, err)
     assert err == "error: assignments.00: component 0 is assigned twice\n"
+    assert not out_plus.exists() and not out_minus.exists()
+
+
+def test_deep_nesting_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for command in ("quantize", "validate"):
+        code, out, err = run_cli(capsys, command, str(path))
+        _assert_one_line_error(code, out, err)
+        assert err == (
+            "error: line 1, column 100000: "
+            "nested 100000 levels deep, past the parser's recursion limit\n"
+        )
+
+
+def test_a_key_given_twice_exits_1(tmp_path, capsys):
+    dataset = tmp_path / "data.json"
+    dataset.write_text(
+        serialize_dataset(sphere_data(1, 2)).replace(
+            '"half_dimension": 1,', '"half_dimension": 1,\n  "half_dimension": 2,'
+        ),
+        encoding="utf-8",
+    )
+    for command in ("quantize", "validate"):
+        code, out, err = run_cli(capsys, command, str(dataset))
+        _assert_one_line_error(code, out, err)
+        assert err == 'error: "half_dimension": key given twice in one object\n'
+    data_path = write_dataset(tmp_path, sphere_data(1, 2))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        '{"assignments": {"0": "plus", "1": "minus", "0": "minus"}, "reduced": [{"dim": 0}]}',
+        encoding="utf-8",
+    )
+    out_plus, out_minus = tmp_path / "plus.json", tmp_path / "minus.json"
+    outs = ["--out-plus", str(out_plus), "--out-minus", str(out_minus)]
+    for argv in (
+        ["cut", data_path, str(spec_path), *outs],
+        ["check-additivity", data_path, str(spec_path)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert err == 'error: "0": key given twice in one object\n'
     assert not out_plus.exists() and not out_minus.exists()
 
 

@@ -164,6 +164,25 @@ def test_integer_over_the_digit_limit_is_a_syntax_error():
     assert exc.value.column == text.rindex(digits) + 1
 
 
+def test_nesting_past_the_recursion_limit_is_a_syntax_error():
+    # Brackets inside strings, escaped quotes included, do not count.
+    text = '{"isolated": [' + '{"[\\"": ' * 5000 + "[[1]]" + "}" * 5000 + "]}"
+    with pytest.raises(DocumentSyntaxError, match="nested 5004 levels deep") as exc:
+        parse_dataset(text)
+    assert (exc.value.line, exc.value.column) == (1, text.index("[[1]]") + 2)
+
+
+def test_a_key_given_twice_is_a_schema_error():
+    text = SPHERE_TEXT.replace('"sign": 1', '"sign": 1, "sign": -1', 1)
+    with pytest.raises(SchemaError, match="key given twice") as exc:
+        parse_dataset(text)
+    assert exc.value.field == '"sign"'
+    # The inner object closes, and is rejected, before the long integer.
+    text = '{"reduced": [{"dim": 0, "dim": 0}], "x": ' + "7" * 5001 + "}"
+    with pytest.raises(SchemaError, match="key given twice"):
+        parse_cut_spec(text)
+
+
 CUT_TEXT = """\
 {
   "assignments": {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -72,6 +73,64 @@ def test_partition_count_matches_naive_enumeration(alphas, target_doubled):
     assert partition_count(alphas, target_doubled) == _partition_count_naive(
         alphas, target_doubled
     )
+
+
+def _count_odd_enumerated(alphas, remaining):
+    # Reference: nested enumeration, one level per weight; d_1 runs over the
+    # odd values that leave room for every later d_j >= 1.
+    first = alphas[0]
+    if len(alphas) == 1:
+        if remaining <= 0:
+            return 0
+        d, leftover = divmod(remaining, first)
+        return 1 if leftover == 0 and d % 2 == 1 else 0
+    rest_floor = sum(alphas[1:])
+    total = 0
+    d = 1
+    while d * first + rest_floor <= remaining:
+        total += _count_odd_enumerated(alphas[1:], remaining - d * first)
+        d += 2
+    return total
+
+
+def test_partition_count_matches_enumeration():
+    rng = random.Random(29)
+    cases = []
+    for m in range(1, 5):
+        tuples = list(itertools.combinations_with_replacement(range(1, 10), m))
+        if m == 4:
+            tuples = rng.sample(tuples, 120)
+        for weights in tuples:
+            weights = rng.sample(weights, m)  # any order, equal weights included
+            floor = sum(weights)  # the smallest reachable sum
+            remainings = {-7, 0, 1, floor - 2, floor - 1, floor, floor + 1}
+            remainings |= {floor + 2 * max(weights), rng.randint(-60, 140)}
+            cases.extend((tuple(weights), r) for r in remainings)
+    for _ in range(2000):
+        m = rng.randint(1, 4)
+        weights = tuple(rng.randint(1, 9) for _ in range(m))
+        cases.append((weights, rng.randint(-60, 140)))
+    assert any(math.gcd(*w) > 1 for w, _ in cases if len(w) == 2)
+    for weights, remaining in cases:
+        expected = _count_odd_enumerated(weights, remaining)
+        assert partition_count(weights, -remaining) == expected, (weights, remaining)
+
+
+def test_partition_count_at_huge_targets():
+    big = 10**8
+    # m = 1: a single odd multiple, or none.
+    assert partition_count((3,), -3 * (2 * big + 1)) == 1
+    assert partition_count((3,), -3 * 2 * big) == 0
+    # d_1 + d_2 = 2*big + 2 with both odd: d_1 = 1, 3, ..., 2*big + 1.
+    assert partition_count((1, 1), -2 * big - 2) == big + 1
+    assert partition_count((1, 1), -2 * big - 1) == 0
+    # 6*d_1 + 2*d_2 = 2*big: d_2 = big - 3*d_1, odd d_1 <= 33333333.
+    assert partition_count((6, 2), -2 * big) == 16666667
+    # 2*d_1 + 4*d_2 = 2*big + 4 leaves d_1 even.
+    assert partition_count((2, 4), -2 * big - 4) == 0
+    # 5*d_1 + 3*d_2 = 8 + 30*t: d_1 = 1 + 6*j, d_2 = 1 + 10*(t - j) for j = 0..t.
+    t = big // 30
+    assert partition_count((5, 3), -8 - 30 * t) == t + 1
 
 
 def test_multiplicity_isolated_examples():
