@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cutting import DimensionMismatchError, build_cut_data, check_additivity
+from .cutting import build_cut_data, check_additivity
 from .diagram import render_diagram
 from .documents import (
     DocumentSyntaxError,
@@ -233,7 +233,6 @@ def main(argv: list[str] | None = None) -> int:
         DocumentSyntaxError,
         SchemaError,
         InvalidDataError,
-        DimensionMismatchError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,11 +21,7 @@ from .fixed_points import (
     require_valid,
 )
 from .kostant import character_rational
-from .laurent import NotDivisibleError, VirtualCharacter, char_sum
-
-
-class DimensionMismatchError(ValueError):
-    """A reduced component's dimension is incompatible with the data's m."""
+from .laurent import NotDivisibleError, VirtualCharacter
 
 
 @dataclass(frozen=True)
@@ -85,8 +81,11 @@ def build_cut_data(
     """Construct the fixed-point data of both cut spaces."""
     require_valid(data)
     total = len(data.components())
-    sides = spec.as_dict()
-    for index, side in sides.items():
+    sides: dict[int, str] = {}
+    for index, side in spec.assignments:
+        if index in sides:
+            raise InvalidDataError(f"component {index} is assigned twice")
+        sides[index] = side
         if side not in ("plus", "minus"):
             raise InvalidDataError(f'component {index}: side must be "plus" or "minus"')
         if not 0 <= index < total:
@@ -101,7 +100,7 @@ def build_cut_data(
             if reduced.chern_lred is not None or reduced.chern_nminus is not None:
                 raise InvalidDataError(f"reduced[{i}]: dim-0 components carry no Chern numbers")
             if data.half_dimension != 1:
-                raise DimensionMismatchError(
+                raise InvalidDataError(
                     f"reduced[{i}]: dim-0 reduced component requires half_dimension 1, "
                     f"got {data.half_dimension}"
                 )
@@ -111,7 +110,7 @@ def build_cut_data(
                     f"reduced[{i}]: dim-2 components need chern_Lred and chern_Nminus"
                 )
             if data.half_dimension != 2:
-                raise DimensionMismatchError(
+                raise InvalidDataError(
                     f"reduced[{i}]: dim-2 reduced component requires half_dimension 2, "
                     f"got {data.half_dimension}"
                 )
@@ -160,7 +159,7 @@ def check_additivity(
     original = _character_for("original", data)
     plus_char = _character_for("plus", plus)
     minus_char = _character_for("minus", minus)
-    combined = char_sum(plus_char, minus_char)
+    combined = plus_char + minus_char
     weights = sorted(
         set(original.support()) | set(plus_char.support()) | set(minus_char.support())
     )

@@ -32,14 +32,7 @@ from .fixed_points import (
     is_polarized,
     require_valid,
 )
-from .laurent import (
-    LaurentPoly,
-    RationalChar,
-    VirtualCharacter,
-    exact_divide,
-    rational_combine,
-    to_character,
-)
+from .laurent import LaurentPoly, VirtualCharacter, exact_divide, to_character
 
 
 class NotPolarizedError(ValueError):
@@ -130,7 +123,9 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
     component contributes sign * pbar at k = (mu/2 - beta)/alpha when that k
     is a positive half-integer, and nothing otherwise.  All contributions are
     accumulated doubled; an odd total means the halves failed to cancel and
-    the data is not consistent.
+    the data is not consistent.  Realizability is not checked: on data that
+    is no closed manifold's, this still returns a count, where
+    character_rational raises NotDivisibleError.
     """
     require_valid(data)
     _require_polarized(data)
@@ -150,15 +145,19 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
     return doubled // 2
 
 
-def component_term(comp: IsolatedFixedPoint | Codim2Component) -> RationalChar:
+def component_term(
+    comp: IsolatedFixedPoint | Codim2Component,
+) -> tuple[LaurentPoly, LaurentPoly]:
     """Closed-form rational contribution of a single component.
 
-    Isolated point: sign * q^mu / prod_j (q^alpha_j - q^-alpha_j).  Point
-    component: sign * q^(mu-alpha) / (1 - q^-2alpha).  Surface component,
-    with x = q^-2alpha: sign * q^(mu-alpha) * ((chern_l - 2*chern_n)
-    - chern_l*x) / (2*(1-x)^2), which is the geometric-series closed form of
-    the doubled pbar expansion.  Polarization is not required; flipped
-    components produce the identical rational function.
+    Returned as a (numerator, denominator) pair of Laurent polynomials in the
+    form written here, not reduced.  Isolated point: sign * q^mu / prod_j
+    (q^alpha_j - q^-alpha_j).  Point component: sign * q^(mu-alpha) /
+    (1 - q^-2alpha).  Surface component, with x = q^-2alpha:
+    sign * q^(mu-alpha) * ((chern_l - 2*chern_n) - chern_l*x) / (2*(1-x)^2),
+    which is the geometric-series closed form of the doubled pbar expansion.
+    Polarization is not required; flipped components produce the identical
+    rational function.
     """
     if isinstance(comp, IsolatedFixedPoint):
         numerator = LaurentPoly.monomial(comp.det_weight, comp.sign)
@@ -167,7 +166,7 @@ def component_term(comp: IsolatedFixedPoint | Codim2Component) -> RationalChar:
             denominator = denominator * (
                 LaurentPoly.monomial(alpha) - LaurentPoly.monomial(-alpha)
             )
-        return RationalChar(numerator, denominator)
+        return numerator, denominator
     alpha = comp.normal_weight
     base = LaurentPoly.monomial(comp.det_weight - alpha, comp.sign)
     one_minus_x = LaurentPoly.one() - LaurentPoly.monomial(-2 * alpha)
@@ -183,25 +182,26 @@ def component_term(comp: IsolatedFixedPoint | Codim2Component) -> RationalChar:
         )
         numerator = base * series_num
         denominator = (one_minus_x * one_minus_x) * LaurentPoly.monomial(0, 2)
-    return RationalChar(numerator, denominator)
+    return numerator, denominator
 
 
 def character_rational(data: FixedPointData) -> VirtualCharacter:
     """Full character by exact rational algebra.
 
-    Every component's closed form is combined over a common denominator; the
-    sum of fixed-point contributions of a genuine closed manifold is a Laurent
+    Starting from 0/1, each component's (numerator, denominator) pair is
+    folded in by cross-multiplying, n/d + n'/d' = (n*d' + n'*d)/(d*d'), and
+    the final numerator is divided exactly by the final denominator.  The sum
+    of fixed-point contributions of a genuine closed manifold is a Laurent
     polynomial, so exact division must succeed.  NotDivisible therefore means
     the data is not realizable; OddExponent means a half weight leaked
     through.  Polarization is not required.
     """
     require_valid(data)
-    terms = [component_term(comp) for comp in data.components()]
-    if not terms:
-        return VirtualCharacter.zero()
-    combined = rational_combine(terms)
-    quotient = exact_divide(combined.numerator, combined.denominator)
-    return to_character(quotient)
+    num, den = LaurentPoly.zero(), LaurentPoly.one()
+    for comp in data.components():
+        n, d = component_term(comp)
+        num, den = num * d + n * den, den * d
+    return to_character(exact_divide(num, den))
 
 
 def character_series(data: FixedPointData, window: tuple[int, int]) -> dict[int, int]:

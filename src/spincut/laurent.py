@@ -1,4 +1,4 @@
-"""Exact arithmetic for integer Laurent polynomials and rational characters.
+"""Exact arithmetic for integer Laurent polynomials and virtual characters.
 
 Everything downstream works in a variable q with doubled exponents: q stands
 for a square root of the circle variable lambda, so the stored exponent e
@@ -9,7 +9,7 @@ integer multiplicity for each weight.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class NotDivisibleError(ArithmeticError):
@@ -149,97 +149,6 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
     return LaurentPoly(quotient)
 
 
-class RationalChar:
-    """Quotient of two Laurent polynomials, kept in a canonical form.
-
-    The stored denominator has lowest exponent 0 and a positive lowest
-    coefficient; any common monomial factor is pushed into the numerator.
-    Equality is mathematical (cross multiplication), so two canonical
-    representations of the same quotient compare equal even when no gcd
-    reduction was performed.
-    """
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(
-        self, numerator: LaurentPoly, denominator: LaurentPoly | None = None
-    ) -> None:
-        if denominator is None:
-            denominator = LaurentPoly.one()
-        if denominator.is_zero():
-            raise ZeroDivisionError("rational character with zero denominator")
-        if numerator.is_zero():
-            numerator = LaurentPoly.zero()
-            denominator = LaurentPoly.one()
-        else:
-            low = denominator.min_exponent()
-            if low:
-                mono = LaurentPoly.monomial(-low)
-                numerator = numerator * mono
-                denominator = denominator * mono
-            if denominator.coefficient(denominator.min_exponent()) < 0:
-                numerator = -numerator
-                denominator = -denominator
-        object.__setattr__(self, "_num", numerator)
-        object.__setattr__(self, "_den", denominator)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalChar is immutable")
-
-    @property
-    def numerator(self) -> LaurentPoly:
-        return self._num
-
-    @property
-    def denominator(self) -> LaurentPoly:
-        return self._den
-
-    @classmethod
-    def zero(cls) -> RationalChar:
-        return cls(LaurentPoly.zero())
-
-    def is_zero(self) -> bool:
-        return self._num.is_zero()
-
-    def __neg__(self) -> RationalChar:
-        return RationalChar(-self._num, self._den)
-
-    def __add__(self, other: RationalChar) -> RationalChar:
-        if not isinstance(other, RationalChar):
-            return NotImplemented
-        return RationalChar(
-            self._num * other._den + other._num * self._den,
-            self._den * other._den,
-        )
-
-    def __sub__(self, other: RationalChar) -> RationalChar:
-        if not isinstance(other, RationalChar):
-            return NotImplemented
-        return self + (-other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalChar):
-            return NotImplemented
-        return self._num * other._den == other._num * self._den
-
-    def __repr__(self) -> str:
-        return f"RationalChar(({self._num}) / ({self._den}))"
-
-
-def rational_combine(terms: Iterable[RationalChar]) -> RationalChar:
-    """Sum rational characters over a common denominator.
-
-    The result is canonical and does not depend on the order of the terms.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("rational_combine requires at least one term")
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
-
-
 class VirtualCharacter:
     """Finitely supported integer multiplicity function on the weight lattice."""
 
@@ -323,11 +232,3 @@ def to_character(poly: LaurentPoly) -> VirtualCharacter:
             )
         mult[exponent // 2] = coeff
     return VirtualCharacter(mult)
-
-
-def char_sum(*chars: VirtualCharacter) -> VirtualCharacter:
-    """Pointwise sum of virtual characters, zero entries pruned."""
-    total = VirtualCharacter.zero()
-    for char in chars:
-        total = total + char
-    return total

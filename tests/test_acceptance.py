@@ -18,7 +18,7 @@ from spincut.diagram import render_diagram
 from spincut.documents import parse_dataset
 from spincut.fixed_points import polarize, validate
 from spincut.kostant import character_rational, character_series, multiplicity
-from spincut.laurent import VirtualCharacter, char_sum
+from spincut.laurent import VirtualCharacter
 from spincut.sphere import (
     canonical_cut_spec,
     closed_form_multiplicity,
@@ -193,10 +193,7 @@ def test_acceptance_8_pipeline_integrity(tmp_path, capsys):
                 assert code == 0, (k, n, path)
                 reports.append(out)
             whole = _parse_character_report(reports[0])
-            parts = char_sum(
-                _parse_character_report(reports[1]),
-                _parse_character_report(reports[2]),
-            )
+            parts = _parse_character_report(reports[1]) + _parse_character_report(reports[2])
             assert whole == parts, (k, n)
             # byte-exact round trip: re-rendering the sum reproduces the
             # original quantize output

@@ -8,11 +8,8 @@ from spincut.laurent import (
     LaurentPoly,
     NotDivisibleError,
     OddExponentError,
-    RationalChar,
     VirtualCharacter,
-    char_sum,
     exact_divide,
-    rational_combine,
     to_character,
 )
 
@@ -74,62 +71,14 @@ def test_to_character_examples():
         to_character(q(3))
 
 
-def test_char_sum_examples():
-    assert char_sum(VirtualCharacter({1: 1}), VirtualCharacter({1: -1})) == VirtualCharacter()
-    assert char_sum(VirtualCharacter({2: 1, 3: 1}), VirtualCharacter()) == VirtualCharacter(
+def test_character_add_examples():
+    assert VirtualCharacter({1: 1}) + VirtualCharacter({1: -1}) == VirtualCharacter()
+    assert VirtualCharacter({2: 1, 3: 1}) + VirtualCharacter() == VirtualCharacter(
         {2: 1, 3: 1}
     )
-    assert char_sum(
-        VirtualCharacter({1: 1, 2: 1, 3: 1}), VirtualCharacter({1: -1})
+    assert VirtualCharacter({1: 1, 2: 1, 3: 1}) + VirtualCharacter(
+        {1: -1}
     ) == VirtualCharacter({2: 1, 3: 1})
-
-
-def test_rational_combine_cancellation():
-    den = q(1) - q(-1)
-    total = rational_combine([RationalChar(q(0), den), RationalChar(q(0, -1), den)])
-    assert total.is_zero()
-    assert total.numerator == LaurentPoly.zero()
-    assert total.denominator == LaurentPoly.one()
-
-
-def test_rational_combine_sphere_terms():
-    den = q(1) - q(-1)
-    total = rational_combine([RationalChar(q(3), den), RationalChar(q(1, -1), den)])
-    assert total == RationalChar(q(3) - q(1), den)
-    assert to_character(exact_divide(total.numerator, total.denominator)) == VirtualCharacter(
-        {1: 1}
-    )
-
-
-def test_rational_combine_singleton_and_empty():
-    term = RationalChar(q(2), q(1) - q(-1))
-    assert rational_combine([term]) == term
-    with pytest.raises(ValueError):
-        rational_combine([])
-
-
-def test_rational_char_canonical_form():
-    rc = RationalChar(q(0), q(1) - q(-1))
-    assert rc.denominator.min_exponent() == 0
-    assert rc.denominator.coefficient(0) > 0
-    assert rc.denominator == q(0) - q(2)
-    assert rc.numerator == q(1, -1)
-    # negative lowest coefficient gets normalized away
-    rc2 = RationalChar(q(0), q(-1) - q(1))
-    assert rc2.denominator == q(0) - q(2)
-    assert rc2.numerator == q(1)
-    assert rc + rc2 == RationalChar.zero()
-
-
-def test_rational_char_zero_is_canonical():
-    rc = RationalChar(LaurentPoly.zero(), q(5, 7) - q(2))
-    assert rc.numerator == LaurentPoly.zero()
-    assert rc.denominator == LaurentPoly.one()
-
-
-def test_rational_char_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        RationalChar(q(1), LaurentPoly.zero())
 
 
 def test_character_accessors():
@@ -177,18 +126,8 @@ def test_character_laurent_round_trip(c):
     assert to_character(c.as_laurent()) == c
 
 
-@given(st.lists(st.tuples(polys, nonzero_polys), min_size=1, max_size=4))
-def test_rational_combine_permutation_invariant(pairs):
-    terms = [RationalChar(num, den) for num, den in pairs]
-    forward = rational_combine(terms)
-    backward = rational_combine(list(reversed(terms)))
-    # canonical representations coincide, not merely the values
-    assert forward.numerator == backward.numerator
-    assert forward.denominator == backward.denominator
-
-
 @given(characters, characters)
-def test_char_sum_matches_pointwise_addition(a, b):
-    total = char_sum(a, b)
+def test_character_add_matches_pointwise_addition(a, b):
+    total = a + b
     for w in set(a.support()) | set(b.support()):
         assert total.multiplicity(w) == a.multiplicity(w) + b.multiplicity(w)
