@@ -132,24 +132,17 @@ def _sphere_summary(k: int, n: int) -> str:
 def _cmd_sphere(args: argparse.Namespace) -> int:
     k, n = args.k, args.n
     printed = False
+    spaces = [(k, n)]
     if args.cut:
-        (pk, pn), (mk, mn) = sphere_catalogue.cut_identity(k, n)
-        name = sphere_catalogue.label(k, n)
-        print(
-            f"({name})+ = {sphere_catalogue.label(pk, pn)}, "
-            f"({name})- = {sphere_catalogue.label(mk, mn)}"
-        )
+        spaces += sphere_catalogue.cut_identity(k, n)
+        name, plus, minus = (sphere_catalogue.label(*space) for space in spaces)
+        print(f"({name})+ = {plus}, ({name})- = {minus}")
         printed = True
     if args.diagram:
-        if args.cut:
-            (pk, pn), (mk, mn) = sphere_catalogue.cut_identity(k, n)
-            for kk, nn in ((k, n), (pk, pn), (mk, mn)):
-                print(f"{sphere_catalogue.label(kk, nn)}:")
-                char = character_rational(sphere_catalogue.sphere_data(kk, nn))
-                for line in render_diagram(char):
-                    print(line)
-        else:
-            char = character_rational(sphere_catalogue.sphere_data(k, n))
+        for space in spaces:
+            if args.cut:
+                print(f"{sphere_catalogue.label(*space)}:")
+            char = character_rational(sphere_catalogue.sphere_data(*space))
             for line in render_diagram(char):
                 print(line)
         printed = True

@@ -41,22 +41,26 @@ class ReducedComponent:
 
 @dataclass(frozen=True)
 class CutSpecification:
-    """Side assignment per component index plus the reduced components."""
+    """Side assignment per component index plus the reduced components.
+
+    Assignments are stored sorted by index.  A repeated index is refused at
+    construction, so a specification is a function from index to side.
+    """
 
     assignments: tuple[tuple[int, str], ...]
     reduced: tuple[ReducedComponent, ...] = ()
 
     def __post_init__(self) -> None:
         raw = self.assignments
-        if isinstance(raw, Mapping):
-            pairs = tuple(sorted((int(k), v) for k, v in raw.items()))
-        else:
-            pairs = tuple(sorted((int(k), v) for k, v in raw))
-        object.__setattr__(self, "assignments", pairs)
+        pairs = raw.items() if isinstance(raw, Mapping) else raw
+        pairs = sorted(((int(k), v) for k, v in pairs), key=lambda pair: pair[0])
+        for (index, _), (following, _) in zip(pairs, pairs[1:]):
+            if index == following:
+                raise InvalidDataError(
+                    f"assignments.{index}: component {index} is assigned twice"
+                )
+        object.__setattr__(self, "assignments", tuple(pairs))
         object.__setattr__(self, "reduced", tuple(self.reduced))
-
-    def as_dict(self) -> dict[int, str]:
-        return dict(self.assignments)
 
 
 @dataclass(frozen=True)
@@ -81,13 +85,12 @@ def build_cut_data(
     """Construct the fixed-point data of both cut spaces."""
     require_valid(data)
     total = len(data.components())
-    sides: dict[int, str] = {}
+    sides = dict(spec.assignments)
     for index, side in spec.assignments:
-        if index in sides:
-            raise InvalidDataError(f"component {index} is assigned twice")
-        sides[index] = side
         if side not in ("plus", "minus"):
-            raise InvalidDataError(f'component {index}: side must be "plus" or "minus"')
+            raise InvalidDataError(
+                f'assignments.{index}: side must be "plus" or "minus", got {side!r}'
+            )
         if not 0 <= index < total:
             raise InvalidDataError(f"assignment for unknown component {index}")
     for index in range(total):
@@ -95,7 +98,7 @@ def build_cut_data(
             raise InvalidDataError(f"component {index} has no side assignment")
     for i, reduced in enumerate(spec.reduced):
         if reduced.dim not in (0, 2):
-            raise InvalidDataError(f"reduced[{i}]: dim must be 0 or 2")
+            raise InvalidDataError(f"reduced[{i}].dim: expected 0 or 2, got {reduced.dim}")
         if reduced.dim == 0:
             if reduced.chern_lred is not None or reduced.chern_nminus is not None:
                 raise InvalidDataError(f"reduced[{i}]: dim-0 components carry no Chern numbers")

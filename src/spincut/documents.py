@@ -15,8 +15,10 @@ Cut specification schema:
      "reduced": [{"dim": 0} | {"dim": 2, "chern_Lred": int, "chern_Nminus": int}]}
 
 Parsing checks structure and types only (a key given twice in one object is a
-structural error); semantic rules (parity, sign values, index coverage) belong
-to fixed_points.validate and cutting.build_cut_data.
+structural error).  Every other rule has one home: fixed_points.validate owns
+parity, signs, dims and Chern fields of a dataset; CutSpecification refuses a
+repeated component index; cutting.build_cut_data owns sides, index coverage
+and the reduced components.
 """
 
 from __future__ import annotations
@@ -114,22 +116,20 @@ def _require_object(value: Any, path: str, allowed: set[str]) -> dict:
     return value
 
 
+def _integer(value: Any, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(field, f"expected an integer, got {value!r}")
+    return value
+
+
 def _require_int(obj: dict, path: str, key: str) -> int:
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "required field is missing")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    return value
+    return _optional_int(obj, path, key)
 
 
 def _optional_int(obj: dict, path: str, key: str) -> int | None:
-    if key not in obj:
-        return None
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    return value
+    return _integer(obj[key], f"{path}.{key}") if key in obj else None
 
 
 def _require_list(obj: dict, path: str, key: str) -> list:
@@ -153,14 +153,12 @@ def parse_dataset(text: str | bytes) -> FixedPointData:
         entry = _require_object(entry, path, {"weights", "det_weight", "sign"})
         if "weights" not in entry or not isinstance(entry["weights"], list):
             raise SchemaError(f"{path}.weights", "expected a list of integers")
-        weights = []
-        for j, w in enumerate(entry["weights"]):
-            if isinstance(w, bool) or not isinstance(w, int):
-                raise SchemaError(f"{path}.weights[{j}]", f"expected an integer, got {w!r}")
-            weights.append(w)
+        weights = tuple(
+            _integer(w, f"{path}.weights[{j}]") for j, w in enumerate(entry["weights"])
+        )
         isolated.append(
             IsolatedFixedPoint(
-                weights=tuple(weights),
+                weights=weights,
                 det_weight=_require_int(entry, path, "det_weight"),
                 sign=_require_int(entry, path, "sign"),
             )
@@ -171,12 +169,9 @@ def parse_dataset(text: str | bytes) -> FixedPointData:
         entry = _require_object(
             entry, path, {"dim", "normal_weight", "det_weight", "sign", "chern_L", "chern_N"}
         )
-        dim = _require_int(entry, path, "dim")
-        if dim not in (0, 2):
-            raise SchemaError(f"{path}.dim", f"expected 0 or 2, got {dim}")
         codim2.append(
             Codim2Component(
-                dim=dim,
+                dim=_require_int(entry, path, "dim"),
                 normal_weight=_require_int(entry, path, "normal_weight"),
                 det_weight=_require_int(entry, path, "det_weight"),
                 sign=_require_int(entry, path, "sign"),
@@ -221,32 +216,28 @@ def serialize_dataset(data: FixedPointData) -> str:
 
 
 def parse_cut_spec(text: str | bytes) -> CutSpecification:
-    """Parse a cut specification document (types checked, not semantics)."""
+    """Parse a cut specification document (types checked, not semantics).
+
+    A repeated component index, under any spelling, raises InvalidDataError
+    from CutSpecification.
+    """
     doc = _require_object(_load_json(text), "cutspec", {"assignments", "reduced"})
     if "assignments" not in doc or not isinstance(doc["assignments"], dict):
         raise SchemaError("cutspec.assignments", "expected an object")
-    assignments: dict[int, str] = {}
+    assignments = []
     for key, side in doc["assignments"].items():
-        path = f"assignments.{key}"
         try:
-            index = int(key)
+            assignments.append((int(key), side))
         except ValueError:
+            path = f"assignments.{key}"
             raise SchemaError(path, "component index must be an integer") from None
-        if side not in ("plus", "minus"):
-            raise SchemaError(path, f'side must be "plus" or "minus", got {side!r}')
-        if index in assignments:
-            raise SchemaError(path, f"component {index} is assigned twice")
-        assignments[index] = side
     reduced = []
     for i, entry in enumerate(_require_list(doc, "cutspec", "reduced")):
         path = f"reduced[{i}]"
         entry = _require_object(entry, path, {"dim", "chern_Lred", "chern_Nminus"})
-        dim = _require_int(entry, path, "dim")
-        if dim not in (0, 2):
-            raise SchemaError(f"{path}.dim", f"expected 0 or 2, got {dim}")
         reduced.append(
             ReducedComponent(
-                dim=dim,
+                dim=_require_int(entry, path, "dim"),
                 chern_lred=_optional_int(entry, path, "chern_Lred"),
                 chern_nminus=_optional_int(entry, path, "chern_Nminus"),
             )

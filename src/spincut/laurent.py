@@ -5,11 +5,15 @@ for a square root of the circle variable lambda, so the stored exponent e
 represents lambda^(e/2).  Doubling keeps half-integer weights integral and
 every operation exact.  A virtual character is the undoubled view: a finite
 integer multiplicity for each weight.
+
+Both are immutable sparse maps from integers to nonzero integers, and share
+one implementation of storage, equality and addition.  A polynomial and a
+character are never equal and never add: they differ by the doubling.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TypeVar
 
 
 class NotDivisibleError(ArithmeticError):
@@ -20,29 +24,68 @@ class OddExponentError(ValueError):
     """A nonzero coefficient sits at an odd q-exponent (half-weight leak)."""
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in q, stored as a sparse exponent map.
+_Map = TypeVar("_Map", bound="_SparseMap")
 
-    Instances are immutable; arithmetic returns new objects and never keeps
-    zero coefficients.
-    """
+
+class _SparseMap:
+    """Immutable map from integers to nonzero integers; zeros are dropped."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Mapping[int, int] | None = None) -> None:
         cleaned: dict[int, int] = {}
         if coefficients:
-            for exponent, coeff in coefficients.items():
-                if coeff:
-                    cleaned[int(exponent)] = int(coeff)
+            for key, value in coefficients.items():
+                if value:
+                    cleaned[int(key)] = int(value)
         object.__setattr__(self, "_coeffs", cleaned)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LaurentPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
+    def zero(cls: type[_Map]) -> _Map:
         return cls()
+
+    def items(self) -> tuple[tuple[int, int], ...]:
+        """All (key, value) pairs, key ascending."""
+        return tuple(sorted(self._coeffs.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def __neg__(self: _Map) -> _Map:
+        return type(self)({k: -v for k, v in self._coeffs.items()})
+
+    def __add__(self: _Map, other: _Map) -> _Map:
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self._coeffs)
+        for k, v in other._coeffs.items():
+            out[k] = out.get(k, 0) + v
+        return type(self)(out)
+
+    def __sub__(self: _Map, other: _Map) -> _Map:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class LaurentPoly(_SparseMap):
+    """Integer Laurent polynomial in q, keyed by exponent."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> LaurentPoly:
@@ -52,15 +95,8 @@ class LaurentPoly:
     def monomial(cls, exponent: int, coefficient: int = 1) -> LaurentPoly:
         return cls({exponent: coefficient})
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """All (exponent, coefficient) pairs, exponent ascending."""
-        return tuple(sorted(self._coeffs.items()))
 
     def min_exponent(self) -> int:
         if not self._coeffs:
@@ -72,33 +108,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self._coeffs)
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -109,9 +118,6 @@ class LaurentPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
-    def __repr__(self) -> str:
-        return f"LaurentPoly({dict(self.items())!r})"
-
 
 def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPoly:
     """Return the quotient r with r * denominator == numerator, exactly.
@@ -120,9 +126,9 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
     runs from the top exponent down; if the input is divisible every step is
     forced, so a failed step or a leftover remainder proves indivisibility.
     """
-    if denominator.is_zero():
+    if not denominator:
         raise ZeroDivisionError("division by the zero polynomial")
-    if numerator.is_zero():
+    if not numerator:
         return LaurentPoly.zero()
     den_top = denominator.max_exponent()
     den_lead = denominator.coefficient(den_top)
@@ -149,72 +155,19 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
     return LaurentPoly(quotient)
 
 
-class VirtualCharacter:
+class VirtualCharacter(_SparseMap):
     """Finitely supported integer multiplicity function on the weight lattice."""
 
-    __slots__ = ("_mult",)
-
-    def __init__(self, multiplicities: Mapping[int, int] | None = None) -> None:
-        cleaned: dict[int, int] = {}
-        if multiplicities:
-            for weight, mult in multiplicities.items():
-                if mult:
-                    cleaned[int(weight)] = int(mult)
-        object.__setattr__(self, "_mult", cleaned)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VirtualCharacter is immutable")
-
-    @classmethod
-    def zero(cls) -> VirtualCharacter:
-        return cls()
+    __slots__ = ()
 
     def multiplicity(self, weight: int) -> int:
-        return self._mult.get(weight, 0)
+        return self._coeffs.get(weight, 0)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._mult))
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """All (weight, multiplicity) pairs, weight ascending."""
-        return tuple(sorted(self._mult.items()))
-
-    def as_laurent(self) -> LaurentPoly:
-        """The doubled-exponent polynomial with this character's coefficients."""
-        return LaurentPoly({2 * w: m for w, m in self._mult.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self._mult)
+        return tuple(sorted(self._coeffs))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.support())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VirtualCharacter):
-            return NotImplemented
-        return self._mult == other._mult
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._mult.items()))
-
-    def __neg__(self) -> VirtualCharacter:
-        return VirtualCharacter({w: -m for w, m in self._mult.items()})
-
-    def __add__(self, other: VirtualCharacter) -> VirtualCharacter:
-        if not isinstance(other, VirtualCharacter):
-            return NotImplemented
-        out = dict(self._mult)
-        for w, m in other._mult.items():
-            out[w] = out.get(w, 0) + m
-        return VirtualCharacter(out)
-
-    def __sub__(self, other: VirtualCharacter) -> VirtualCharacter:
-        if not isinstance(other, VirtualCharacter):
-            return NotImplemented
-        return self + (-other)
-
-    def __repr__(self) -> str:
-        return f"VirtualCharacter({dict(self.items())!r})"
 
 
 def to_character(poly: LaurentPoly) -> VirtualCharacter:

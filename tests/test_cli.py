@@ -292,15 +292,61 @@ def test_malformed_bytes_and_huge_integers_exit_1(tmp_path, capsys):
 def test_cut_rejects_an_index_given_twice(tmp_path, capsys):
     data_path = write_dataset(tmp_path, sphere_data(1, 2))
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(
-        '{"assignments": {"0": "plus", "1": "minus", "00": "minus"}, "reduced": [{"dim": 0}]}',
-        encoding="utf-8",
-    )
     out_plus, out_minus = tmp_path / "plus.json", tmp_path / "minus.json"
     outs = ("--out-plus", str(out_plus), "--out-minus", str(out_minus))
-    code, out, err = run_cli(capsys, "cut", data_path, str(spec_path), *outs)
-    _assert_one_line_error(code, out, err)
-    assert err == "error: assignments.00: component 0 is assigned twice\n"
+    # The second side is never compared with the first, whatever its type.
+    for assignments in (
+        '{"0": "plus", "1": "minus", "00": "minus"}',
+        '{"0": "plus", "00": 5, "1": "minus"}',
+    ):
+        spec_path.write_text(
+            f'{{"assignments": {assignments}, "reduced": [{{"dim": 0}}]}}', encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, "cut", data_path, str(spec_path), *outs)
+        _assert_one_line_error(code, out, err)
+        assert err == "error: assignments.0: component 0 is assigned twice\n"
+    assert not out_plus.exists() and not out_minus.exists()
+
+
+# One fault per spec: the assignments (P_{1,2} has components 0 and 1), the
+# reduced components, and the exact error line both commands print for it.
+GOOD_ASSIGNMENTS = '{"0": "plus", "1": "minus"}'
+FAULTY_SPECS = (
+    ('{"0": "left", "1": "minus"}', '[{"dim": 0}]',
+     """assignments.0: side must be "plus" or "minus", got 'left'"""),
+    ('{"0": "plus", "1": 5}', '[{"dim": 0}]',
+     'assignments.1: side must be "plus" or "minus", got 5'),
+    ('{"0": null, "1": "minus"}', '[{"dim": 0}]',
+     'assignments.0: side must be "plus" or "minus", got None'),
+    (GOOD_ASSIGNMENTS, '[{"dim": 3}]', "reduced[0].dim: expected 0 or 2, got 3"),
+    ('{"0": "plus", "1": "minus", "7": "plus"}', '[{"dim": 0}]',
+     "assignment for unknown component 7"),
+    ('{"0": "plus"}', '[{"dim": 0}]', "component 1 has no side assignment"),
+    (GOOD_ASSIGNMENTS, '[{"dim": 2, "chern_Lred": 0, "chern_Nminus": 0}]',
+     "reduced[0]: dim-2 reduced component requires half_dimension 2, got 1"),
+    (GOOD_ASSIGNMENTS, '[{"dim": 0, "chern_Lred": 1}]',
+     "reduced[0]: dim-0 components carry no Chern numbers"),
+    (GOOD_ASSIGNMENTS, '[{"dim": 2}]',
+     "reduced[0]: dim-2 components need chern_Lred and chern_Nminus"),
+    ('{"a": "plus", "0": "plus", "1": "minus"}', '[{"dim": 0}]',
+     "assignments.a: component index must be an integer"),
+)
+
+
+def test_each_cut_spec_fault_has_one_error_line(tmp_path, capsys):
+    data_path = write_dataset(tmp_path, sphere_data(1, 2))
+    spec_path = tmp_path / "spec.json"
+    out_plus, out_minus = tmp_path / "plus.json", tmp_path / "minus.json"
+    outs = ("--out-plus", str(out_plus), "--out-minus", str(out_minus))
+    for assignments, reduced, message in FAULTY_SPECS:
+        spec_path.write_text(
+            f'{{"assignments": {assignments}, "reduced": {reduced}}}', encoding="utf-8"
+        )
+        for argv in (
+            ("cut", data_path, str(spec_path), *outs),
+            ("check-additivity", data_path, str(spec_path)),
+        ):
+            assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
     assert not out_plus.exists() and not out_minus.exists()
 
 
@@ -443,6 +489,22 @@ def test_validate_ok(tmp_path, capsys):
     path = write_dataset(tmp_path, sphere_data(0, 1))
     code, out, err = run_cli(capsys, "validate", path)
     assert (code, out, err) == (0, "OK\n", "")
+
+
+def test_dataset_dim_outside_0_and_2_is_reported_by_validation(tmp_path, capsys):
+    path = tmp_path / "data.json"
+    path.write_text(
+        serialize_dataset(sphere_data(1, 2)).replace(
+            '"codim2": []',
+            '"codim2": [{"dim": 1, "normal_weight": 1, "det_weight": 1, "sign": 1}]',
+        ),
+        encoding="utf-8",
+    )
+    violation = "component 2: dimension: dim must be 0 or 2, got 1\n"
+    assert run_cli(capsys, "validate", str(path)) == (1, "", violation)
+    for argv in (("quantize", str(path)), ("quantize", str(path), "--beta", "2")):
+        expected = f"error: invalid dataset {path}:\n  {violation}"
+        assert run_cli(capsys, *argv) == (1, "", expected)
 
 
 def test_validate_reports_violations(tmp_path, capsys):

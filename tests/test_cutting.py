@@ -11,6 +11,7 @@ from spincut.cutting import (
     build_cut_data,
     check_additivity,
 )
+from spincut.documents import serialize_cut_spec
 from spincut.fixed_points import (
     Codim2Component,
     FixedPointData,
@@ -158,12 +159,23 @@ def test_build_cut_data_rejects_unknown_index():
 
 def test_build_cut_data_rejects_index_assigned_twice():
     data = sphere_data(1, 2)
-    spec = CutSpecification(assignments=[(0, "plus"), (1, "minus"), (0, "minus")])
+    for index, side in ((0, "minus"), (1, "minus")):
+        with pytest.raises(InvalidDataError, match=f"component {index} is assigned twice"):
+            spec = CutSpecification(assignments=[(0, "plus"), (1, "minus"), (index, side)])
+            build_cut_data(data, spec)
+
+
+def test_repeated_index_with_sides_of_mixed_types_is_refused():
+    # Sorting compares indices only, so the sides are never compared.
+    with pytest.raises(InvalidDataError) as exc:
+        CutSpecification(assignments=[(0, "plus"), (0, None)])
+    assert str(exc.value) == "assignments.0: component 0 is assigned twice"
+
+
+def test_repeated_index_never_reaches_a_document():
+    # A spec that could be built would serialize with one side dropped.
     with pytest.raises(InvalidDataError, match="component 0 is assigned twice"):
-        build_cut_data(data, spec)
-    twice_same_side = CutSpecification(assignments=[(0, "plus"), (1, "minus"), (1, "minus")])
-    with pytest.raises(InvalidDataError, match="component 1 is assigned twice"):
-        build_cut_data(data, twice_same_side)
+        serialize_cut_spec(CutSpecification(assignments=[(0, "plus"), (1, "minus"), (0, "minus")]))
 
 
 def test_build_cut_data_rejects_bad_side():
@@ -230,6 +242,5 @@ def test_additivity_on_randomized_cut_cases():
 def test_cut_specification_normalizes_assignments():
     spec = CutSpecification(assignments={1: "minus", 0: "plus"})
     assert spec.assignments == ((0, "plus"), (1, "minus"))
-    assert spec.as_dict() == {0: "plus", 1: "minus"}
     from_pairs = CutSpecification(assignments=[(1, "minus"), (0, "plus")])
     assert from_pairs == spec

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spincut.cutting import CutSpecification, ReducedComponent
+from spincut.cutting import CutSpecification, ReducedComponent, build_cut_data
 from spincut.documents import (
     DocumentSyntaxError,
     SchemaError,
@@ -13,7 +13,14 @@ from spincut.documents import (
     serialize_cut_spec,
     serialize_dataset,
 )
-from spincut.fixed_points import Codim2Component, FixedPointData, IsolatedFixedPoint
+from spincut.fixed_points import (
+    Codim2Component,
+    FixedPointData,
+    InvalidDataError,
+    IsolatedFixedPoint,
+    validate,
+)
+from spincut.sphere import sphere_data
 
 from .generators import cut_case, random_polarized_dataset
 
@@ -113,12 +120,14 @@ def test_bool_is_not_an_integer():
 
 
 def test_codim2_dim_restricted():
+    # The parser reads any integer dim; validate is the one home of the rule.
     text = (
         '{"half_dimension": 1, "isolated": [], "codim2": '
         '[{"dim": 1, "normal_weight": 1, "det_weight": 1, "sign": 1}]}'
     )
-    with pytest.raises(SchemaError):
-        parse_dataset(text)
+    data = parse_dataset(text)
+    assert data.codim2[0].dim == 1
+    assert [(v.component, v.rule) for v in validate(data)] == [(0, "dimension")]
 
 
 def test_top_level_must_be_object():
@@ -200,7 +209,7 @@ CUT_TEXT = """\
 
 def test_parse_cut_spec_example():
     spec = parse_cut_spec(CUT_TEXT)
-    assert spec.as_dict() == {0: "plus", 1: "minus"}
+    assert spec.assignments == ((0, "plus"), (1, "minus"))
     assert spec.reduced == (ReducedComponent(dim=0),)
 
 
@@ -230,18 +239,24 @@ def test_cut_spec_round_trip_on_generated_cases():
 
 
 def test_cut_spec_rejects_bad_side():
-    with pytest.raises(SchemaError):
-        parse_cut_spec('{"assignments": {"0": "left"}, "reduced": []}')
+    # The parser passes the side through; the cut builder refuses it.
+    spec = parse_cut_spec('{"assignments": {"0": "left"}, "reduced": []}')
+    assert spec.assignments == ((0, "left"),)
+    message = """assignments.0: side must be "plus" or "minus", got 'left'"""
+    with pytest.raises(InvalidDataError) as exc:
+        build_cut_data(sphere_data(0, 1), spec)
+    assert str(exc.value) == message
 
 
 def test_cut_spec_rejects_an_index_given_twice():
-    for text in (
-        '{"assignments": {"0": "plus", "00": "minus"}, "reduced": []}',
-        '{"assignments": {"1": "plus", "0": "plus", " 1": "plus"}, "reduced": []}',
+    # CutSpecification refuses the repeat, whichever way the index is spelled.
+    for text, index in (
+        ('{"assignments": {"0": "plus", "00": "minus"}, "reduced": []}', 0),
+        ('{"assignments": {"1": "plus", "0": "plus", " 1": "plus"}, "reduced": []}', 1),
     ):
-        with pytest.raises(SchemaError, match="assigned twice") as exc:
+        with pytest.raises(InvalidDataError, match="assigned twice") as exc:
             parse_cut_spec(text)
-        assert exc.value.field in ("assignments.00", "assignments. 1")
+        assert str(exc.value) == f"assignments.{index}: component {index} is assigned twice"
 
 
 def test_cut_spec_rejects_non_integer_index():

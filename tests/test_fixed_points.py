@@ -74,10 +74,12 @@ def test_sign_must_be_unit():
 
 
 def test_codim2_dimension_consistency():
-    comp = Codim2Component(dim=2, normal_weight=1, det_weight=0, sign=1, chern_l=0, chern_n=1)
-    data = FixedPointData(half_dimension=1, codim2=(comp,))
-    rules = {v.rule for v in validate(data)}
-    assert "dimension" in rules
+    surface = Codim2Component(dim=2, normal_weight=1, det_weight=0, sign=1, chern_l=0, chern_n=1)
+    neither = Codim2Component(dim=1, normal_weight=1, det_weight=1, sign=1)
+    for comp in (surface, neither):
+        data = FixedPointData(half_dimension=1, codim2=(comp,))
+        rules = {v.rule for v in validate(data)}
+        assert "dimension" in rules
 
 
 def test_codim2_chern_fields_guarded_both_ways():

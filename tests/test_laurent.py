@@ -81,6 +81,19 @@ def test_character_add_examples():
     ) == VirtualCharacter({2: 1, 3: 1})
 
 
+def test_polynomial_and_character_never_mix():
+    # Same sparse map, different meaning: exponents are doubled weights.
+    poly, char = LaurentPoly({2: 1, 4: -3}), VirtualCharacter({2: 1, 4: -3})
+    assert poly.items() == char.items()
+    assert poly != char and char != poly
+    with pytest.raises(TypeError):
+        poly + char
+    with pytest.raises(TypeError):
+        char - poly
+    assert repr(poly) == "LaurentPoly({2: 1, 4: -3})"
+    assert repr(char) == "VirtualCharacter({2: 1, 4: -3})"
+
+
 def test_character_accessors():
     c = VirtualCharacter({3: 1, -2: 4})
     assert c.support() == (-2, 3)
@@ -123,7 +136,8 @@ def test_exact_divide_inverts_multiplication(a, b):
 
 @given(characters)
 def test_character_laurent_round_trip(c):
-    assert to_character(c.as_laurent()) == c
+    doubled = LaurentPoly({2 * w: m for w, m in c.items()})
+    assert to_character(doubled) == c
 
 
 @given(characters, characters)

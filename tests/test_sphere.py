@@ -40,7 +40,7 @@ def test_cut_identity_examples():
 
 def test_canonical_cut_spec_shape():
     spec = canonical_cut_spec()
-    assert spec.as_dict() == {0: "plus", 1: "minus"}
+    assert spec.assignments == ((0, "plus"), (1, "minus"))
     assert spec.reduced == (ReducedComponent(dim=0),)
 
 
