@@ -7,8 +7,9 @@ Commands:
     sphere            the P_{k,n} catalogue: data, cut identities, diagrams
     validate          structural validation report for a dataset file
 
-Exit codes: 0 success, 1 malformed or invalid input, 2 unrealizable data
-(exact division failed or a half weight leaked), 3 additivity failure.
+Exit codes: 0 success, 1 malformed or invalid input (a malformed command
+line included), 2 unrealizable data (exact division failed or a half weight
+leaked), 3 additivity failure.
 All output is deterministic.
 """
 
@@ -31,7 +32,6 @@ from .fixed_points import (
     FixedPointData,
     InvalidDataError,
     flip_codim2_signs,
-    polarize,
     validate,
 )
 from .kostant import NonIntegerMultiplicityError, character_rational, multiplicity
@@ -73,8 +73,8 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     if args.flip_codim2_signs:
         data = flip_codim2_signs(data)
     if args.beta is not None:
-        # Counting path: polarize first, then one partition query per component.
-        print(multiplicity(polarize(data), args.beta))
+        # Counting path: one partition query per component.
+        print(multiplicity(data, args.beta))
     elif args.diagram:
         for line in render_diagram(character_rational(data)):
             print(line)
@@ -171,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--character", action="store_true", help="full character, rational path (default)"
     )
     mode.add_argument("--diagram", action="store_true", help="render the multiplicity diagram")
-    quantize.add_argument(
-        "--paper-signs",
-        action="store_true",
-        dest="flip_codim2_signs",
-        help="flip the sign of every codimension-2 contribution",
-    )
     quantize.set_defaults(func=_cmd_quantize)
 
     cut = sub.add_parser("cut", help="write both cut datasets")
@@ -191,13 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("input", help="dataset file (JSON)")
     check.add_argument("spec", help="cut specification file (JSON)")
-    check.add_argument(
-        "--paper-signs",
-        action="store_true",
-        dest="flip_codim2_signs",
-        help="flip the sign of every codimension-2 contribution",
-    )
     check.set_defaults(func=_cmd_check_additivity)
+    for command in (quantize, check):
+        command.add_argument(
+            "--paper-signs",
+            action="store_true",
+            dest="flip_codim2_signs",
+            help="flip the sign of every codimension-2 contribution",
+        )
 
     sphere = sub.add_parser("sphere", help="the P_{k,n} catalogue")
     sphere.add_argument("--k", type=int, required=True)
@@ -219,7 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which here
+        # is malformed input (exit 1); 2 is reserved for unrealizable data.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (

@@ -117,35 +117,19 @@ def build_cut_data(
                     f"reduced[{i}]: dim-2 reduced component requires half_dimension 2, "
                     f"got {data.half_dimension}"
                 )
-    plus_isolated, minus_isolated = [], []
-    plus_codim2, minus_codim2 = [], []
-    for index, comp in enumerate(data.components()):
-        target_isolated = plus_isolated if sides[index] == "plus" else minus_isolated
-        target_codim2 = plus_codim2 if sides[index] == "plus" else minus_codim2
-        if index < len(data.isolated):
-            target_isolated.append(comp)
-        else:
-            target_codim2.append(comp)
-    for reduced in spec.reduced:
-        if reduced.dim == 2:
-            chern_l = reduced.chern_lred + reduced.chern_nminus
-            chern_n = reduced.chern_nminus
-        else:
+    base = len(data.isolated)
+    halves = []
+    for side, sign in (("plus", -1), ("minus", 1)):
+        isolated = [p for i, p in enumerate(data.isolated) if sides[i] == side]
+        codim2 = [c for i, c in enumerate(data.codim2, base) if sides[i] == side]
+        for reduced in spec.reduced:
             chern_l = chern_n = None
-        for sign, bucket in ((-1, plus_codim2), (1, minus_codim2)):
-            bucket.append(
-                Codim2Component(
-                    dim=reduced.dim,
-                    normal_weight=1,
-                    det_weight=1,
-                    sign=sign,
-                    chern_l=chern_l,
-                    chern_n=chern_n,
-                )
-            )
-    plus = FixedPointData(data.half_dimension, tuple(plus_isolated), tuple(plus_codim2))
-    minus = FixedPointData(data.half_dimension, tuple(minus_isolated), tuple(minus_codim2))
-    return plus, minus
+            if reduced.dim == 2:
+                chern_l = reduced.chern_lred + reduced.chern_nminus
+                chern_n = reduced.chern_nminus
+            codim2.append(Codim2Component(reduced.dim, 1, 1, sign, chern_l, chern_n))
+        halves.append(FixedPointData(data.half_dimension, tuple(isolated), tuple(codim2)))
+    return halves[0], halves[1]
 
 
 def _character_for(label: str, data: FixedPointData) -> VirtualCharacter:

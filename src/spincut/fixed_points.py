@@ -176,9 +176,9 @@ def _polarize_point(point: IsolatedFixedPoint) -> IsolatedFixedPoint:
         return point
     # Each weight flip swaps the complex structure on one tangent line, which
     # toggles the orientation sign and leaves det_weight alone.
-    return IsolatedFixedPoint(
+    return replace(
+        point,
         weights=tuple(abs(w) for w in point.weights),
-        det_weight=point.det_weight,
         sign=point.sign if flips % 2 == 0 else -point.sign,
     )
 
@@ -186,35 +186,27 @@ def _polarize_point(point: IsolatedFixedPoint) -> IsolatedFixedPoint:
 def _polarize_component(comp: Codim2Component) -> Codim2Component:
     if comp.normal_weight > 0:
         return comp
+    flipped = replace(comp, normal_weight=-comp.normal_weight, sign=-comp.sign)
     if comp.dim == 0:
-        return Codim2Component(
-            dim=0,
-            normal_weight=-comp.normal_weight,
-            det_weight=comp.det_weight,
-            sign=-comp.sign,
-        )
+        return flipped
     # Conjugating the normal line negates its Chern number, and the Chern
     # number stored for the determinant line shifts against it; this is the
     # unique rule under which the rational character is flip-invariant.
-    return Codim2Component(
-        dim=2,
-        normal_weight=-comp.normal_weight,
-        det_weight=comp.det_weight,
-        sign=-comp.sign,
-        chern_l=comp.chern_l - 2 * comp.chern_n,
-        chern_n=-comp.chern_n,
-    )
+    return replace(flipped, chern_l=comp.chern_l - 2 * comp.chern_n, chern_n=-comp.chern_n)
 
 
 def polarize(data: FixedPointData) -> FixedPointData:
     """Flip every negative weight positive, trading signs for orientation.
 
-    det_weight never changes.  Idempotent, validity preserving, and invisible
-    to the rational character path.
+    Raises InvalidDataError on invalid data and returns polarized data
+    unchanged.  det_weight never changes.  Idempotent, validity preserving,
+    and invisible to the rational character path.
     """
     require_valid(data)
-    return FixedPointData(
-        half_dimension=data.half_dimension,
+    if is_polarized(data):
+        return data
+    return replace(
+        data,
         isolated=tuple(_polarize_point(p) for p in data.isolated),
         codim2=tuple(_polarize_component(c) for c in data.codim2),
     )

@@ -8,7 +8,9 @@ contributes a signed surface integral when its unique expansion step lands on
 the queried weight.  The rational route assembles every component's closed
 form over a common denominator, divides exactly, and reads off the whole
 character at once.  A truncated geometric series gives a third, deliberately
-brute-force oracle.
+brute-force oracle.  The counting route and the oracle expand every weight in
+its positive direction, so each takes any valid data and works on its
+polarization (fixed_points.polarize); the rational route needs none.
 
 Conventions.  Characters live in the doubled-exponent variable of the laurent
 module, so the weight beta sits at q-exponent 2*beta and a determinant weight
@@ -28,24 +30,16 @@ from typing import Sequence
 from .fixed_points import (
     Codim2Component,
     FixedPointData,
+    InvalidDataError,
     IsolatedFixedPoint,
-    is_polarized,
+    polarize,
     require_valid,
 )
 from .laurent import LaurentPoly, VirtualCharacter, exact_divide, to_character
 
 
-class NotPolarizedError(ValueError):
-    """The operation needs strictly positive weights; polarize the data first."""
-
-
 class NonIntegerMultiplicityError(ArithmeticError):
     """Half contributions failed to cancel; the input data is inconsistent."""
-
-
-def _require_polarized(data: FixedPointData) -> None:
-    if not is_polarized(data):
-        raise NotPolarizedError("data has nonpositive weights; polarize it first")
 
 
 def partition_count(alphas: Sequence[int], target_doubled: int) -> int:
@@ -54,13 +48,20 @@ def partition_count(alphas: Sequence[int], target_doubled: int) -> int:
     The target is passed doubled.  Writing each k_j as d_j/2 with d_j an odd
     positive integer, the count is the number of solutions of
     sum d_j*alpha_j = -target_doubled: a closed form for two weights, peeled
-    enumeration above (one loop per weight beyond the two smallest).
+    enumeration above (one loop per weight beyond the two smallest).  The
+    loops nest by recursion, so a weight count near the interpreter's
+    recursion limit raises InvalidDataError.
     """
     if not alphas:
         raise ValueError("at least one weight is required")
     if any(a <= 0 for a in alphas):
         raise ValueError("partition weights must be strictly positive")
-    return _count_odd(tuple(sorted(alphas)), -target_doubled)
+    try:
+        return _count_odd(tuple(sorted(alphas)), -target_doubled)
+    except RecursionError:
+        raise InvalidDataError(
+            f"{len(alphas)} weights are too many for the counting path's recursion"
+        ) from None
 
 
 def _count_odd(alphas: tuple[int, ...], remaining: int) -> int:
@@ -105,10 +106,12 @@ def pbar(comp: Codim2Component, k_doubled: int) -> int:
     For a point component the integrand is the constant 1 (doubled: 2).  For a
     surface it is (chern_l - chern_n)/2 - k*chern_n, the degree-2 part of the
     expansion of the determinant-twisted normal contribution; doubled this is
-    (chern_l - chern_n) - k_doubled*chern_n, always an integer.
+    (chern_l - chern_n) - k_doubled*chern_n, always an integer.  The
+    component must be polarized: a nonpositive normal weight raises
+    ValueError.
     """
     if comp.normal_weight <= 0:
-        raise NotPolarizedError("component must be polarized (normal weight > 0)")
+        raise ValueError("component must be polarized (normal weight > 0)")
     if k_doubled <= 0 or k_doubled % 2 == 0:
         raise ValueError("k must be a positive half-integer, passed doubled (odd)")
     if comp.dim == 0:
@@ -119,16 +122,16 @@ def pbar(comp: Codim2Component, k_doubled: int) -> int:
 def multiplicity(data: FixedPointData, beta: int) -> int:
     """Weight multiplicity by counting, one weight at a time.
 
-    Isolated points contribute signed partition counts.  A codimension-2
-    component contributes sign * pbar at k = (mu/2 - beta)/alpha when that k
-    is a positive half-integer, and nothing otherwise.  All contributions are
+    Takes any valid data and counts its polarization.  Isolated points
+    contribute signed partition counts.  A codimension-2 component
+    contributes sign * pbar at k = (mu/2 - beta)/alpha when that k is a
+    positive half-integer, and nothing otherwise.  All contributions are
     accumulated doubled; an odd total means the halves failed to cancel and
     the data is not consistent.  Realizability is not checked: on data that
     is no closed manifold's, this still returns a count, where
     character_rational raises NotDivisibleError.
     """
-    require_valid(data)
-    _require_polarized(data)
+    data = polarize(data)
     doubled = 0
     for point in data.isolated:
         doubled += 2 * point.sign * partition_count(
@@ -209,11 +212,11 @@ def character_series(data: FixedPointData, window: tuple[int, int]) -> dict[int,
 
     Expands every component term as a descending power series, truncated as
     soon as weights drop below the window, and returns the nonzero
-    multiplicities inside [window[0], window[1]].  Kept deliberately
-    independent of the rational route: no division happens here.
+    multiplicities inside [window[0], window[1]].  Takes any valid data and
+    expands its polarization.  Kept deliberately independent of the rational
+    route: no division happens here.
     """
-    require_valid(data)
-    _require_polarized(data)
+    data = polarize(data)
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")

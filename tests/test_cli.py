@@ -392,6 +392,28 @@ def test_a_key_given_twice_exits_1(tmp_path, capsys):
     assert not out_plus.exists() and not out_minus.exists()
 
 
+def test_beta_past_the_counting_recursion_exits_1(tmp_path, capsys):
+    # Counting peels one weight per nested call; 1500 of them is too deep.
+    data = FixedPointData(
+        half_dimension=1500,
+        isolated=(IsolatedFixedPoint(weights=(1,) * 1500, det_weight=1502, sign=1),),
+    )
+    path = write_dataset(tmp_path, data)
+    code, out, err = run_cli(capsys, "quantize", path, "--beta", "0")
+    _assert_one_line_error(code, out, err)
+    assert err == "error: 1500 weights are too many for the counting path's recursion\n"
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    for argv in (["quantize"], ["frobnicate"], ["sphere", "--k", "x", "--n", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: spincut")
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: spincut")
+
+
 def test_cut_writes_canonical_datasets(tmp_path, capsys):
     data_path = write_dataset(tmp_path, sphere_data(1, 2))
     spec_path = write_spec(tmp_path, canonical_cut_spec())

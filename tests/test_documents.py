@@ -106,6 +106,14 @@ def test_wrong_type_for_weights():
         parse_dataset(text)
 
 
+def test_component_lists_are_optional_lists():
+    assert parse_dataset('{"half_dimension": 1}') == FixedPointData(half_dimension=1)
+    for key in ("isolated", "codim2"):
+        with pytest.raises(SchemaError) as exc:
+            parse_dataset(f'{{"half_dimension": 1, "{key}": {{}}}}')
+        assert exc.value.field == f"dataset.{key}"
+
+
 def test_unknown_key_rejected():
     text = '{"half_dimension": 1, "isolated": [], "codim2": [], "extra": 0}'
     with pytest.raises(SchemaError) as exc:
@@ -257,6 +265,13 @@ def test_cut_spec_rejects_an_index_given_twice():
         with pytest.raises(InvalidDataError, match="assigned twice") as exc:
             parse_cut_spec(text)
         assert str(exc.value) == f"assignments.{index}: component {index} is assigned twice"
+
+
+def test_cut_spec_assignments_must_be_an_object():
+    for text in ('{"reduced": []}', '{"assignments": [], "reduced": []}'):
+        with pytest.raises(SchemaError) as exc:
+            parse_cut_spec(text)
+        assert str(exc.value) == "cutspec.assignments: expected an object"
 
 
 def test_cut_spec_rejects_non_integer_index():

@@ -41,12 +41,17 @@ def test_parity_violation_reported():
 
 
 def test_zero_weight_rejected():
-    data = FixedPointData(
+    point = FixedPointData(
         half_dimension=2,
         isolated=(IsolatedFixedPoint(weights=(1, 0), det_weight=1, sign=1),),
     )
-    rules = {v.rule for v in validate(data)}
-    assert "zero-weight" in rules
+    component = FixedPointData(
+        half_dimension=1,
+        codim2=(Codim2Component(dim=0, normal_weight=0, det_weight=0, sign=1),),
+    )
+    for data in (point, component):
+        rules = {v.rule for v in validate(data)}
+        assert "zero-weight" in rules
 
 
 def test_weight_count_must_match_half_dimension():
@@ -65,12 +70,20 @@ def test_half_dimension_must_be_positive():
 
 
 def test_sign_must_be_unit():
-    data = FixedPointData(
+    point = FixedPointData(
         half_dimension=1,
         isolated=(IsolatedFixedPoint(weights=(1,), det_weight=1, sign=2),),
     )
-    rules = {v.rule for v in validate(data)}
-    assert "sign" in rules
+    components = [
+        FixedPointData(
+            half_dimension=1,
+            codim2=(Codim2Component(dim=0, normal_weight=1, det_weight=1, sign=sign),),
+        )
+        for sign in (0, 2)
+    ]
+    for data in (point, *components):
+        rules = {v.rule for v in validate(data)}
+        assert "sign" in rules
 
 
 def test_codim2_dimension_consistency():

@@ -17,7 +17,6 @@ from spincut.fixed_points import (
 )
 from spincut.kostant import (
     NonIntegerMultiplicityError,
-    NotPolarizedError,
     character_rational,
     character_series,
     component_term,
@@ -134,15 +133,6 @@ def test_multiplicity_isolated_examples():
     assert multiplicity(sphere_data(2, -3), 1) == -1
 
 
-def test_multiplicity_isolated_requires_polarization():
-    data = FixedPointData(
-        half_dimension=1,
-        isolated=(IsolatedFixedPoint(weights=(-1,), det_weight=1, sign=1),),
-    )
-    with pytest.raises(NotPolarizedError):
-        multiplicity(data, 0)
-
-
 def test_pbar_examples():
     point = Codim2Component(dim=0, normal_weight=1, det_weight=1, sign=1)
     assert pbar(point, 1) == 2
@@ -159,7 +149,7 @@ def test_pbar_rejects_bad_step_and_unpolarized_component():
         pbar(comp, 2)
     with pytest.raises(ValueError):
         pbar(comp, -1)
-    with pytest.raises(NotPolarizedError):
+    with pytest.raises(ValueError):
         pbar(Codim2Component(dim=0, normal_weight=-1, det_weight=1, sign=1), 1)
 
 
@@ -219,12 +209,6 @@ def test_character_series_examples():
 
 
 def test_character_series_requires_polarization_and_sane_window():
-    data = FixedPointData(
-        half_dimension=1,
-        isolated=(IsolatedFixedPoint(weights=(-1,), det_weight=1, sign=1),),
-    )
-    with pytest.raises(NotPolarizedError):
-        character_series(data, (-5, 5))
     with pytest.raises(ValueError):
         character_series(sphere_data(0, 1), (5, -5))
 
@@ -279,6 +263,14 @@ def test_rational_character_is_polarization_invariant():
         variant = mixed_sign_variant(rng, data)
         assert character_rational(variant) == character_rational(data)
         assert character_rational(polarize(variant)) == character_rational(data)
+        # The counting engine and the oracle polarize mixed-sign data themselves.
+        char = character_rational(data)
+        support = char.support()
+        lo = (support[0] if support else 0) - 3
+        hi = (support[-1] if support else 0) + 3
+        for beta in range(lo, hi + 1):
+            assert multiplicity(variant, beta) == multiplicity(data, beta)
+        assert character_series(variant, (lo, hi)) == character_series(data, (lo, hi))
 
 
 def test_character_rational_ignores_component_order():
