@@ -8,14 +8,19 @@ Commands:
     validate          structural validation report for a dataset file
 
 Exit codes: 0 success, 1 malformed or invalid input (a malformed command
-line included), 2 unrealizable data (exact division failed or a half weight
-leaked), 3 additivity failure.
+line included, and a character past the output-support limit), 2 unrealizable
+data (exact division failed or a half weight leaked), 3 additivity failure.
 All output is deterministic.
+
+main may be called any number of times in one process: it builds the
+argparse parser on its first call and reuses it, since a parse keeps its
+results in a fresh namespace and leaves the parser unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -35,7 +40,7 @@ from .fixed_points import (
     validate,
 )
 from .kostant import NonIntegerMultiplicityError, character_rational, multiplicity
-from .laurent import NotDivisibleError, OddExponentError, VirtualCharacter
+from .laurent import NotDivisibleError, OddExponentError, SupportLimitError, VirtualCharacter
 from . import sphere as sphere_catalogue
 
 
@@ -156,7 +161,9 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="spincut",
         description="Exact circle-equivariant quantization from fixed-point data.",
@@ -226,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         DocumentSyntaxError,
         SchemaError,
         InvalidDataError,
+        SupportLimitError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,16 @@ class OddExponentError(ValueError):
     """A nonzero coefficient sits at an odd q-exponent (half-weight leak)."""
 
 
+class SupportLimitError(ValueError):
+    """An exact quotient would hold more than MAX_QUOTIENT_TERMS terms."""
+
+
+# The output-support limit.  A dataset of a few bytes can ask for a character
+# with any number of weights (P_{0,n} has n), so time and memory are capped
+# here; a quotient of this size takes a few seconds.
+MAX_QUOTIENT_TERMS = 1 << 20
+
+
 _Map = TypeVar("_Map", bound="_SparseMap")
 
 
@@ -125,6 +135,9 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
     Raises NotDivisibleError when no such Laurent polynomial exists.  Division
     runs from the top exponent down; if the input is divisible every step is
     forced, so a failed step or a leftover remainder proves indivisibility.
+    Raises SupportLimitError as soon as the quotient holds more than
+    MAX_QUOTIENT_TERMS terms; terms are counted, not the exponent span, so a
+    sparse quotient with far-apart exponents is not refused.
     """
     if not denominator:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -145,6 +158,11 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
                 "remainder is nonzero: quotient is not a Laurent polynomial"
             )
         quotient[shift] = coeff
+        if len(quotient) > MAX_QUOTIENT_TERMS:
+            raise SupportLimitError(
+                f"the quotient has more than {MAX_QUOTIENT_TERMS} terms, "
+                "the output-support limit"
+            )
         for e, c in denominator.items():
             target = e + shift
             value = remainder.get(target, 0) - coeff * c

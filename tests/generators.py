@@ -14,6 +14,11 @@ blocks that are realizable by construction:
     values L and L - 2cN with L even; the combined numerator is divisible by
     (1-x)^2 because it vanishes to second order at x = 1.
 
+Complex projective spaces CP^m with a linear circle action and the spin^c
+structure of O(k) come with Bott's closed form for their character, an oracle
+that needs neither engine; they give realizable data at any m and with large
+weights.
+
 Cut cases are assembled sideways: each side is an independently realizable
 set forced to contain the component its reduced cut component induces
 (normal weight 1, determinant weight 1, sign -1 on plus and +1 on minus);
@@ -24,8 +29,11 @@ Everything takes an explicit random.Random so test runs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from collections import Counter
+from typing import Sequence
 
 from spincut.cutting import CutSpecification, ReducedComponent
 from spincut.documents import serialize_dataset
@@ -127,6 +135,42 @@ def realizable_dataset(rng: random.Random, m: int | None = None) -> FixedPointDa
             else:
                 codim2.extend(surface_mirror(rng))
     return FixedPointData(m, tuple(isolated), tuple(codim2))
+
+
+def projective_space(weights: Sequence[int], k: int) -> FixedPointData:
+    """CP^m (m = len(weights) - 1) with the circle acting by distinct weights
+    w_0..w_m, and the spin^c structure of O(k).
+
+    Fixed point i has isotropy weights w_i - w_j (j != i), determinant weight
+    sum_j (w_i - w_j) + 2k w_i and sign +1.
+    """
+    points = tuple(
+        IsolatedFixedPoint(
+            weights=tuple(w - v for j, v in enumerate(weights) if j != i),
+            det_weight=sum(w - v for v in weights) + 2 * k * w,
+            sign=1,
+        )
+        for i, w in enumerate(weights)
+    )
+    return FixedPointData(len(weights) - 1, points)
+
+
+def projective_space_character(weights: Sequence[int], k: int) -> dict[int, int]:
+    """Bott's formula for the character of projective_space(weights, k).
+
+    k >= 0: the weights of Sym^k(C^{m+1}), one sum of k of the w_i (repeats
+    allowed) each.  -m <= k < 0: zero.  k <= -m-1 (Serre duality): (-1)^m
+    times the weights -sum(w) - (a sum of -k-m-1 of the w_i).
+    """
+    m = len(weights) - 1
+    if -m <= k < 0:
+        return {}
+    if k >= 0:
+        sums = (sum(c) for c in itertools.combinations_with_replacement(weights, k))
+        return dict(Counter(sums))
+    total = sum(weights)
+    dual = itertools.combinations_with_replacement(weights, -k - m - 1)
+    return {w: (-1) ** m * n for w, n in Counter(-total - sum(c) for c in dual).items()}
 
 
 def _flip_point(rng: random.Random, point: IsolatedFixedPoint) -> IsolatedFixedPoint:

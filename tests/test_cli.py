@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+from spincut import cli, laurent
 from spincut.cli import format_additivity_report, format_character_report, main
 from spincut.cutting import build_cut_data, check_additivity
 from spincut.diagram import render_diagram
@@ -414,6 +418,99 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert out.startswith("usage: spincut")
 
 
+def _reuse_corpus(tmp_path) -> list[list[str]]:
+    """Every command and mode, with and without --paper-signs, plus usage errors."""
+    surfaces = tmp_path / "surfaces.json"
+    surfaces.write_text(PAPER_SIGNS_SURFACE_DATA, encoding="utf-8")
+    surface_spec = tmp_path / "surface-spec.json"
+    surface_spec.write_text(PAPER_SIGNS_SURFACE_SPEC, encoding="utf-8")
+    sphere = write_dataset(tmp_path, sphere_data(1, 2), "sphere.json")
+    spec = write_spec(tmp_path, canonical_cut_spec())
+    outs = ["--out-plus", str(tmp_path / "plus.json"), "--out-minus", str(tmp_path / "minus.json")]
+    commands = ("quantize", "cut", "check-additivity", "sphere", "validate")
+    calls = [["quantize"], ["frobnicate"], ["sphere", "--k", "x", "--n", "1"], ["--help"]]
+    calls += [[command, "--help"] for command in commands]
+    calls += [["quantize", sphere, "--beta", "1", "--diagram"]]
+    for path in (str(surfaces), sphere):
+        for mode in (["--beta", "1"], ["--beta", "2"], ["--diagram"], ["--character"], []):
+            calls += [["quantize", path, *mode], ["quantize", path, *mode, "--paper-signs"]]
+        calls += [["validate", path]]
+    for data, cut_spec in ((str(surfaces), str(surface_spec)), (sphere, spec)):
+        for flag in ([], ["--paper-signs"]):
+            calls += [["check-additivity", data, cut_spec, *flag]]
+        calls += [["cut", data, cut_spec, *outs]]
+    calls += [["sphere", "--k", "1", "--n", "2", "--cut", "--diagram"]]
+    calls += [["sphere", "--k", "-2", "--n", "3"]]
+    return calls
+
+
+def _outcome(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv)
+    written = {}
+    for name in ("plus.json", "minus.json"):
+        path = tmp_path / name
+        if path.exists():
+            written[name] = path.read_bytes()
+            path.unlink()
+    return code, out, err, written
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    calls = _reuse_corpus(tmp_path)
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(capsys, tmp_path, argv))
+    # One parser for everything, each call twice, in two interleavings.
+    order = list(range(len(calls))) * 2
+    random.Random(9).shuffle(order)
+    for i in list(range(len(calls))) + order:
+        assert _outcome(capsys, tmp_path, calls[i]) == fresh[i], calls[i]
+    assert {code for code, *_ in fresh} == {0, 1, 2}
+    assert any(written for *_, written in fresh)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "sphere", "--k", "1", "--n", "2", "--cut")[0] == 0
+    assert len(built) == 6  # spincut and its five subcommands
+    for _ in range(50):
+        run_cli(capsys, "sphere", "--k", "1", "--n", "2", "--cut")
+        run_cli(capsys, "quantize")
+        run_cli(capsys, "--help")
+    assert len(built) == 6
+
+
+def test_output_support_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 5)
+    # P_{0,n} has n weights: five is the last size under the limit.
+    at_limit = write_dataset(tmp_path, sphere_data(0, 5), "five.json")
+    assert run_cli(capsys, "quantize", at_limit) == (0, "1: 1\n2: 1\n3: 1\n4: 1\n5: 1\n", "")
+    past = write_dataset(tmp_path, sphere_data(0, 6), "six.json")
+    spec = write_spec(tmp_path, canonical_cut_spec())
+    error = "error: the quotient has more than 5 terms, the output-support limit\n"
+    for argv in (
+        ("quantize", past),
+        ("quantize", past, "--diagram"),
+        ("check-additivity", past, spec),
+        ("sphere", "--k", "0", "--n", "6", "--diagram"),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", error)
+    # Terms are counted, not the exponent span: two weights 2*10**7 apart pass.
+    far = [sphere_data(-(10**7), 1), sphere_data(10**7, 1)]
+    union = FixedPointData(half_dimension=1, isolated=far[0].isolated + far[1].isolated)
+    path = write_dataset(tmp_path, union, "far.json")
+    assert run_cli(capsys, "quantize", path) == (0, "-9999999: 1\n10000001: 1\n", "")
+
+
 def test_cut_writes_canonical_datasets(tmp_path, capsys):
     data_path = write_dataset(tmp_path, sphere_data(1, 2))
     spec_path = write_spec(tmp_path, canonical_cut_spec())
@@ -548,10 +645,14 @@ def test_character_report_formatting():
 
 
 def test_module_entry_point():
+    # The child does not see pytest's sys.path; spincut needs only src.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(
         [sys.executable, "-m", "spincut", "sphere", "--k", "1", "--n", "2", "--cut"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == "(P_{1,2})+ = P_{0,3}, (P_{1,2})- = P_{1,-1}\n"

@@ -29,6 +29,8 @@ from spincut.sphere import sphere_data
 
 from .generators import (
     mixed_sign_variant,
+    projective_space,
+    projective_space_character,
     random_polarized_dataset,
     realizable_dataset,
 )
@@ -254,6 +256,41 @@ def test_rational_matches_counting_on_realizable_data():
         hi = (support[-1] if support else 0) + 10
         for beta in range(lo, hi + 1):
             assert multiplicity(data, beta) == char.multiplicity(beta)
+
+
+def test_bott_oracle_examples():
+    # CP^2, weights 0, 1, 2: O(1) is C^3; O(-1), O(-2) vanish; O(-4) is dual to O(1).
+    assert projective_space_character((0, 1, 2), 1) == {0: 1, 1: 1, 2: 1}
+    assert projective_space_character((0, 1, 2), -2) == {}
+    assert projective_space_character((0, 1, 2), -4) == {-5: 1, -4: 1, -3: 1}
+    assert projective_space_character((0, 1), -3) == {-2: -1, -1: -1}
+
+
+def test_rational_matches_bott_on_projective_spaces():
+    rng = random.Random(17)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        weights = rng.sample(range(-6, 7), m + 1)
+        k = rng.randint(-9, 5)
+        expected = projective_space_character(weights, k)
+        assert dict(character_rational(projective_space(weights, k)).items()) == expected
+
+
+def test_engines_and_series_match_bott_at_m3_to_m5_with_large_weights():
+    rng = random.Random(19)
+    cases = [((0, 3, 10, 21), 2), ((0, 3, 10, 21, 40), 2), ((0, 1, 3, 7, 12, 20), 1)]
+    for _ in range(40):
+        m = rng.randint(3, 5)
+        cases.append((rng.sample(range(-40, 41), m + 1), rng.randint(-m - 4, 4)))
+    for weights, k in cases:
+        data = projective_space(weights, k)
+        expected = projective_space_character(weights, k)
+        support = sorted(expected) or [0]
+        lo, hi = support[0] - 2, support[-1] + 2
+        assert character_series(data, (lo, hi)) == expected
+        counted = {beta: multiplicity(data, beta) for beta in range(lo, hi + 1)}
+        assert {beta: mult for beta, mult in counted.items() if mult} == expected
+        assert dict(character_rational(data).items()) == expected
 
 
 def test_rational_character_is_polarization_invariant():
