@@ -5,14 +5,14 @@ order, two-space indent, trailing newline) so equal values always produce
 byte-identical documents.
 
 Dataset schema:
-    {"half_dimension": int,
-     "isolated": [{"weights": [int...], "det_weight": int, "sign": int}...],
-     "codim2":   [{"dim": 0|2, "normal_weight": int, "det_weight": int,
-                   "sign": int, "chern_L": int?, "chern_N": int?}...]}
+    {"half_dimension": int, "isolated": [record...], "codim2": [record...]}
 
 Cut specification schema:
-    {"assignments": {"<component index>": "plus"|"minus"},
-     "reduced": [{"dim": 0} | {"dim": 2, "chern_Lred": int, "chern_Nminus": int}]}
+    {"assignments": {"<component index>": "plus"|"minus"}, "reduced": [record...]}
+
+A record is an IsolatedFixedPoint, Codim2Component or ReducedComponent.  The
+table _KEYS is the one home of each record's key names, their order and which
+are optional; one reader and one writer serve all three.
 
 Parsing checks structure and types only (a key given twice in one object is a
 structural error).  Every other rule has one home: fixed_points.validate owns
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from typing import Any
+from typing import Any, Container
 
 from .cutting import CutSpecification, ReducedComponent
 from .fixed_points import Codim2Component, FixedPointData, IsolatedFixedPoint
@@ -107,7 +107,7 @@ def _deepest_bracket(text: str) -> tuple[int, int]:
     return offset, deepest
 
 
-def _require_object(value: Any, path: str, allowed: set[str]) -> dict:
+def _require_object(value: Any, path: str, allowed: Container[str]) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
     for key in value:
@@ -122,16 +122,6 @@ def _integer(value: Any, field: str) -> int:
     return value
 
 
-def _require_int(obj: dict, path: str, key: str) -> int:
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "required field is missing")
-    return _optional_int(obj, path, key)
-
-
-def _optional_int(obj: dict, path: str, key: str) -> int | None:
-    return _integer(obj[key], f"{path}.{key}") if key in obj else None
-
-
 def _require_list(obj: dict, path: str, key: str) -> list:
     if key not in obj:
         return []
@@ -141,77 +131,78 @@ def _require_list(obj: dict, path: str, key: str) -> list:
     return value
 
 
+# The one home of each record's JSON keys: in the order of the record's
+# dataclass fields, which is also the canonical order on write, each marked
+# required (True) or optional (False).  An optional key reads as None when
+# absent and is left out on write when None.  "weights" is the one key whose
+# value is a list of integers; every other value is one integer.
+_KEYS: dict[type, dict[str, bool]] = {
+    IsolatedFixedPoint: {"weights": True, "det_weight": True, "sign": True},
+    Codim2Component: {
+        "dim": True,
+        "normal_weight": True,
+        "det_weight": True,
+        "sign": True,
+        "chern_L": False,
+        "chern_N": False,
+    },
+    ReducedComponent: {"dim": True, "chern_Lred": False, "chern_Nminus": False},
+}
+
+
+def _records(doc: dict, path: str, key: str, kind: type) -> tuple:
+    # Each entry of the list doc[key] becomes kind(*values), in _KEYS order.
+    keys = _KEYS[kind]
+    records = []
+    for i, entry in enumerate(_require_list(doc, path, key)):
+        where = f"{key}[{i}]"
+        entry = _require_object(entry, where, keys)
+        values = []
+        for name, required in keys.items():
+            field = f"{where}.{name}"
+            if name == "weights":
+                weights = entry.get(name)
+                if not isinstance(weights, list):
+                    raise SchemaError(field, "expected a list of integers")
+                items = enumerate(weights)
+                values.append(tuple(_integer(w, f"{field}[{j}]") for j, w in items))
+            elif name in entry:
+                values.append(_integer(entry[name], field))
+            elif required:
+                raise SchemaError(field, "required field is missing")
+            else:
+                values.append(None)
+        records.append(kind(*values))
+    return tuple(records)
+
+
+def _entry(record: Any) -> dict[str, Any]:
+    # A dataclass instance's __dict__ holds its fields in declaration order.
+    pairs = zip(_KEYS[type(record)].items(), vars(record).values())
+    return {name: value for (name, required), value in pairs if required or value is not None}
+
+
 def parse_dataset(text: str | bytes) -> FixedPointData:
     """Parse a dataset document into FixedPointData (types checked, not semantics)."""
     doc = _require_object(
         _load_json(text), "dataset", {"half_dimension", "isolated", "codim2"}
     )
-    half_dimension = _require_int(doc, "dataset", "half_dimension")
-    isolated = []
-    for i, entry in enumerate(_require_list(doc, "dataset", "isolated")):
-        path = f"isolated[{i}]"
-        entry = _require_object(entry, path, {"weights", "det_weight", "sign"})
-        if "weights" not in entry or not isinstance(entry["weights"], list):
-            raise SchemaError(f"{path}.weights", "expected a list of integers")
-        weights = tuple(
-            _integer(w, f"{path}.weights[{j}]") for j, w in enumerate(entry["weights"])
-        )
-        isolated.append(
-            IsolatedFixedPoint(
-                weights=weights,
-                det_weight=_require_int(entry, path, "det_weight"),
-                sign=_require_int(entry, path, "sign"),
-            )
-        )
-    codim2 = []
-    for i, entry in enumerate(_require_list(doc, "dataset", "codim2")):
-        path = f"codim2[{i}]"
-        entry = _require_object(
-            entry, path, {"dim", "normal_weight", "det_weight", "sign", "chern_L", "chern_N"}
-        )
-        codim2.append(
-            Codim2Component(
-                dim=_require_int(entry, path, "dim"),
-                normal_weight=_require_int(entry, path, "normal_weight"),
-                det_weight=_require_int(entry, path, "det_weight"),
-                sign=_require_int(entry, path, "sign"),
-                chern_l=_optional_int(entry, path, "chern_L"),
-                chern_n=_optional_int(entry, path, "chern_N"),
-            )
-        )
+    if "half_dimension" not in doc:
+        raise SchemaError("dataset.half_dimension", "required field is missing")
     return FixedPointData(
-        half_dimension=half_dimension,
-        isolated=tuple(isolated),
-        codim2=tuple(codim2),
+        half_dimension=_integer(doc["half_dimension"], "dataset.half_dimension"),
+        isolated=_records(doc, "dataset", "isolated", IsolatedFixedPoint),
+        codim2=_records(doc, "dataset", "codim2", Codim2Component),
     )
 
 
 def serialize_dataset(data: FixedPointData) -> str:
     """Canonical document for a dataset; parse_dataset inverts it exactly."""
-    doc: dict[str, Any] = {
+    doc = {
         "half_dimension": data.half_dimension,
-        "isolated": [
-            {
-                "weights": list(p.weights),
-                "det_weight": p.det_weight,
-                "sign": p.sign,
-            }
-            for p in data.isolated
-        ],
-        "codim2": [],
+        "isolated": [_entry(point) for point in data.isolated],
+        "codim2": [_entry(comp) for comp in data.codim2],
     }
-    for comp in data.codim2:
-        entry: dict[str, Any] = {
-            "dim": comp.dim,
-            "normal_weight": comp.normal_weight,
-            "det_weight": comp.det_weight,
-            "sign": comp.sign,
-        }
-        if comp.chern_l is not None:
-            entry["chern_L"] = comp.chern_l
-        if comp.chern_n is not None:
-            entry["chern_N"] = comp.chern_n
-        doc["codim2"].append(entry)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -231,33 +222,14 @@ def parse_cut_spec(text: str | bytes) -> CutSpecification:
         except ValueError:
             path = f"assignments.{key}"
             raise SchemaError(path, "component index must be an integer") from None
-    reduced = []
-    for i, entry in enumerate(_require_list(doc, "cutspec", "reduced")):
-        path = f"reduced[{i}]"
-        entry = _require_object(entry, path, {"dim", "chern_Lred", "chern_Nminus"})
-        reduced.append(
-            ReducedComponent(
-                dim=_require_int(entry, path, "dim"),
-                chern_lred=_optional_int(entry, path, "chern_Lred"),
-                chern_nminus=_optional_int(entry, path, "chern_Nminus"),
-            )
-        )
-    return CutSpecification(assignments=assignments, reduced=tuple(reduced))
+    reduced = _records(doc, "cutspec", "reduced", ReducedComponent)
+    return CutSpecification(assignments=assignments, reduced=reduced)
 
 
 def serialize_cut_spec(spec: CutSpecification) -> str:
     """Canonical document for a cut specification."""
-    doc: dict[str, Any] = {
-        "assignments": {
-            str(index): side for index, side in spec.assignments
-        },
-        "reduced": [],
+    doc = {
+        "assignments": {str(index): side for index, side in spec.assignments},
+        "reduced": [_entry(comp) for comp in spec.reduced],
     }
-    for comp in spec.reduced:
-        entry: dict[str, Any] = {"dim": comp.dim}
-        if comp.chern_lred is not None:
-            entry["chern_Lred"] = comp.chern_lred
-        if comp.chern_nminus is not None:
-            entry["chern_Nminus"] = comp.chern_nminus
-        doc["reduced"].append(entry)
     return json.dumps(doc, indent=2) + "\n"

@@ -25,12 +25,14 @@ class OddExponentError(ValueError):
 
 
 class SupportLimitError(ValueError):
-    """An exact quotient would hold more than MAX_QUOTIENT_TERMS terms."""
+    """A quotient, a product or a diagram would pass MAX_QUOTIENT_TERMS."""
 
 
 # The output-support limit.  A dataset of a few bytes can ask for a character
-# with any number of weights (P_{0,n} has n), so time and memory are capped
-# here; a quotient of this size takes a few seconds.
+# with any number of weights (P_{0,n} has n), or for a combine whose
+# denominator doubles at each point, so time and memory are capped here: on
+# the terms of an exact quotient, the term pairs of one product and the span
+# of a diagram.  A quotient of this size takes a few seconds.
 MAX_QUOTIENT_TERMS = 1 << 20
 
 
@@ -61,8 +63,8 @@ class _SparseMap:
         """All (key, value) pairs, key ascending."""
         return tuple(sorted(self._coeffs.items()))
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
+    def __len__(self) -> int:
+        return len(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -121,6 +123,11 @@ class LaurentPoly(_SparseMap):
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if len(self) * len(other) > MAX_QUOTIENT_TERMS:
+            raise SupportLimitError(
+                f"a product has more than {MAX_QUOTIENT_TERMS} term pairs, "
+                "the output-support limit"
+            )
         out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():

@@ -8,7 +8,8 @@ blocks that are realizable by construction:
     mu - 2na and opposite signs; their contributions telescope to a finite
     geometric sum.
   * product blocks: two m=1 difference pairs multiplied out into four m=2
-    points (weights paired, determinant weights added, signs multiplied).
+    points by product (weights concatenated, determinant weights added, signs
+    multiplied), which multiplies any two isolated-only datasets.
   * surface mirrors: two dim-2 components with the same normal weight and
     chern_n, opposite signs, determinant weights mu and mu - 2ca, and chern_l
     values L and L - 2cN with L even; the combined numerator is divisible by
@@ -17,7 +18,8 @@ blocks that are realizable by construction:
 Complex projective spaces CP^m with a linear circle action and the spin^c
 structure of O(k) come with Bott's closed form for their character, an oracle
 that needs neither engine; they give realizable data at any m and with large
-weights.
+weights.  Products CP^a x CP^b give mixed-weight data at m = a + b, with the
+convolution of the two Bott characters as their oracle.
 
 Cut cases are assembled sideways: each side is an independently realizable
 set forced to contain the component its reduced cut component induces
@@ -84,15 +86,27 @@ def _pair_params(rng: random.Random, bound: int) -> tuple[int, int, int]:
 
 def product_block(rng: random.Random) -> list[IsolatedFixedPoint]:
     """Four m=2 points: the product of two m=1 difference pairs."""
-    a, mu1, mu2 = _pair_params(rng, 4)
-    b, nu1, nu2 = _pair_params(rng, 5)
-    points = []
-    for mu, s1 in ((mu1, 1), (mu2, -1)):
-        for nu, s2 in ((nu1, 1), (nu2, -1)):
-            points.append(
-                IsolatedFixedPoint(weights=(a, b), det_weight=mu + nu, sign=s1 * s2)
-            )
-    return points
+    factors = []
+    for bound in (4, 5):
+        a, mu1, mu2 = _pair_params(rng, bound)
+        pair = (IsolatedFixedPoint((a,), mu1, 1), IsolatedFixedPoint((a,), mu2, -1))
+        factors.append(FixedPointData(1, pair))
+    return list(product(*factors).isolated)
+
+
+def product(first: FixedPointData, second: FixedPointData) -> FixedPointData:
+    """The product of two isolated-only datasets: one point per pair of points,
+    with weights concatenated, determinant weights added and signs multiplied.
+    Its character is the convolution of the two factors' characters.
+    """
+    if first.codim2 or second.codim2:
+        raise ValueError("product takes isolated-only data")
+    points = tuple(
+        IsolatedFixedPoint(p.weights + q.weights, p.det_weight + q.det_weight, p.sign * q.sign)
+        for p in first.isolated
+        for q in second.isolated
+    )
+    return FixedPointData(first.half_dimension + second.half_dimension, points)
 
 
 def surface_mirror(rng: random.Random) -> list[Codim2Component]:

@@ -11,7 +11,12 @@ from pathlib import Path
 
 from spincut import cli, laurent
 from spincut.cli import format_additivity_report, format_character_report, main
-from spincut.cutting import build_cut_data, check_additivity
+from spincut.cutting import (
+    CutSpecification,
+    ReducedComponent,
+    build_cut_data,
+    check_additivity,
+)
 from spincut.diagram import render_diagram
 from spincut.documents import parse_dataset, serialize_cut_spec, serialize_dataset
 from spincut.fixed_points import FixedPointData, IsolatedFixedPoint, validate
@@ -19,7 +24,7 @@ from spincut.kostant import character_rational
 from spincut.laurent import VirtualCharacter
 from spincut.sphere import canonical_cut_spec, sphere_data
 
-from .generators import realizable_dataset
+from .generators import projective_space, realizable_dataset
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -490,6 +495,13 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 
 
 def test_output_support_limit(tmp_path, capsys, monkeypatch):
+    # Terms are counted, not the exponent span: two weights 2*10**7 apart pass.
+    # This runs at the real limit: the four-point fold multiplies polynomials
+    # of more than five term pairs.
+    far = [sphere_data(-(10**7), 1), sphere_data(10**7, 1)]
+    union = FixedPointData(half_dimension=1, isolated=far[0].isolated + far[1].isolated)
+    path = write_dataset(tmp_path, union, "far.json")
+    assert run_cli(capsys, "quantize", path) == (0, "-9999999: 1\n10000001: 1\n", "")
     monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 5)
     # P_{0,n} has n weights: five is the last size under the limit.
     at_limit = write_dataset(tmp_path, sphere_data(0, 5), "five.json")
@@ -504,11 +516,34 @@ def test_output_support_limit(tmp_path, capsys, monkeypatch):
         ("sphere", "--k", "0", "--n", "6", "--diagram"),
     ):
         assert run_cli(capsys, *argv) == (1, "", error)
-    # Terms are counted, not the exponent span: two weights 2*10**7 apart pass.
-    far = [sphere_data(-(10**7), 1), sphere_data(10**7, 1)]
-    union = FixedPointData(half_dimension=1, isolated=far[0].isolated + far[1].isolated)
-    path = write_dataset(tmp_path, union, "far.json")
-    assert run_cli(capsys, "quantize", path) == (0, "-9999999: 1\n10000001: 1\n", "")
+
+
+def test_diagram_span_limit(tmp_path, capsys, monkeypatch):
+    # Two weights d apart span d + 1 columns, not counting the padding ticks.
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 5)
+    at_limit = write_dataset(tmp_path, projective_space((0, 4), 1), "span5.json")
+    diagram = "    +1          +1\n -1  0  1  2  3  4  5\n"
+    assert run_cli(capsys, "quantize", at_limit, "--diagram") == (0, diagram, "")
+    past = write_dataset(tmp_path, projective_space((0, 5), 1), "span6.json")
+    assert run_cli(capsys, "quantize", past) == (0, "0: 1\n5: 1\n", "")
+    error = "error: the diagram spans more than 5 weights, the output-support limit\n"
+    assert run_cli(capsys, "quantize", past, "--diagram") == (1, "", error)
+
+
+def test_product_limit_stops_a_doubling_combine(tmp_path, capsys, monkeypatch):
+    # Weights 1, 2, 4, ...: every subset sum is a new exponent, so the common
+    # denominator doubles at each point; the combine stops at the product
+    # that passes the limit, before the (failing) division is reached.
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 64)
+    points = tuple(IsolatedFixedPoint((2**i,), 2**i, 1) for i in range(8))
+    path = write_dataset(tmp_path, FixedPointData(1, points), "powers.json")
+    spec = CutSpecification(
+        assignments=[(i, "plus") for i in range(8)], reduced=(ReducedComponent(0),)
+    )
+    spec_path = write_spec(tmp_path, spec)
+    error = "error: a product has more than 64 term pairs, the output-support limit\n"
+    for argv in (("quantize", path, "--character"), ("check-additivity", path, spec_path)):
+        assert run_cli(capsys, *argv) == (1, "", error)
 
 
 def test_cut_writes_canonical_datasets(tmp_path, capsys):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spincut.cutting import CutSpecification, ReducedComponent, build_cut_data
 from spincut.documents import (
@@ -290,3 +293,106 @@ def test_cut_spec_parsing_leaves_semantics_to_the_cut_builder():
     assert spec.reduced == (ReducedComponent(dim=2),)
     with pytest.raises(SchemaError):
         parse_cut_spec('{"assignments": {}, "reduced": [{"dim": 2, "chern_Lred": "x"}]}')
+
+
+# Every key of the three record types: (list it sits in, key, required).
+RECORD_KEYS = [
+    ("isolated", "weights", True),
+    ("isolated", "det_weight", True),
+    ("isolated", "sign", True),
+    ("codim2", "dim", True),
+    ("codim2", "normal_weight", True),
+    ("codim2", "det_weight", True),
+    ("codim2", "sign", True),
+    ("codim2", "chern_L", False),
+    ("codim2", "chern_N", False),
+    ("reduced", "dim", True),
+    ("reduced", "chern_Lred", False),
+    ("reduced", "chern_Nminus", False),
+]
+GOOD_RECORDS = {
+    "isolated": {"weights": [1, -2], "det_weight": 1, "sign": 1},
+    "codim2": {
+        "dim": 2,
+        "normal_weight": 1,
+        "det_weight": 1,
+        "sign": -1,
+        "chern_L": 2,
+        "chern_N": 0,
+    },
+    "reduced": {"dim": 2, "chern_Lred": 1, "chern_Nminus": 0},
+}
+
+
+def _parse_with_second_record(list_key: str, record: dict):
+    # The faulty record sits at index 1, behind a good one.
+    entries = [GOOD_RECORDS[list_key], record]
+    if list_key == "reduced":
+        return parse_cut_spec(json.dumps({"assignments": {}, "reduced": entries}))
+    return parse_dataset(json.dumps({"half_dimension": 2, list_key: entries}))
+
+
+def _schema_error(list_key: str, record: dict) -> str:
+    with pytest.raises(SchemaError) as exc:
+        _parse_with_second_record(list_key, record)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("list_key, key, required", RECORD_KEYS)
+def test_every_record_field_error_is_pinned(list_key, key, required):
+    field = f"{list_key}[1].{key}"
+    good = GOOD_RECORDS[list_key]
+    without = {k: v for k, v in good.items() if k != key}
+    if key == "weights":
+        not_a_list = f"{field}: expected a list of integers"
+        assert _schema_error(list_key, without) == not_a_list
+        for value in ("1", True, 1.0, 1, {"0": 1}):
+            assert _schema_error(list_key, {**good, key: value}) == not_a_list
+        for value, shown in (("1", "'1'"), (True, "True"), (1.5, "1.5"), (None, "None")):
+            message = f"{field}[1]: expected an integer, got {shown}"
+            assert _schema_error(list_key, {**good, key: [1, value]}) == message
+    else:
+        for value, shown in (("1", "'1'"), (True, "True"), (False, "False"), (1.0, "1.0")):
+            message = f"{field}: expected an integer, got {shown}"
+            assert _schema_error(list_key, {**good, key: value}) == message
+        if required:
+            assert _schema_error(list_key, without) == f"{field}: required field is missing"
+        else:
+            # An optional key left out reads as None and is omitted on write.
+            parsed = _parse_with_second_record(list_key, without)
+            assert getattr(getattr(parsed, list_key)[1], key.lower()) is None
+            write = serialize_cut_spec if list_key == "reduced" else serialize_dataset
+            written = json.loads(write(parsed))[list_key]
+            assert written == [good, without]
+    # A key the record does not have, here the key with its case swapped.
+    unknown = {**good, key.swapcase(): 1}
+    assert _schema_error(list_key, unknown) == f"{list_key}[1].{key.swapcase()}: unknown field"
+
+
+integers = st.integers(-(10**6), 10**6)
+optional = st.none() | integers
+weight_tuples = st.lists(integers, max_size=4).map(tuple)
+datasets = st.builds(
+    FixedPointData,
+    half_dimension=integers,
+    isolated=st.lists(
+        st.builds(IsolatedFixedPoint, weight_tuples, integers, integers), max_size=3
+    ).map(tuple),
+    codim2=st.lists(
+        st.builds(Codim2Component, integers, integers, integers, integers, optional, optional),
+        max_size=3,
+    ).map(tuple),
+)
+cut_specs = st.builds(
+    CutSpecification,
+    assignments=st.dictionaries(integers, st.text(max_size=6), max_size=4),
+    reduced=st.lists(st.builds(ReducedComponent, integers, optional, optional), max_size=3),
+)
+
+
+@given(data=datasets, spec=cut_specs)
+def test_parsing_checks_types_not_semantics(data, spec):
+    # Well-typed but invalid values (dim 1, sign 0, odd parity, any side)
+    # survive a round trip: the parser leaves every semantic rule to others.
+    assert parse_dataset(serialize_dataset(data)) == data
+    assert parse_cut_spec(serialize_cut_spec(spec)) == spec

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from spincut.sphere import sphere_data
 
 from .generators import (
     mixed_sign_variant,
+    product,
     projective_space,
     projective_space_character,
     random_polarized_dataset,
@@ -291,6 +293,32 @@ def test_engines_and_series_match_bott_at_m3_to_m5_with_large_weights():
         counted = {beta: multiplicity(data, beta) for beta in range(lo, hi + 1)}
         assert {beta: mult for beta, mult in counted.items() if mult} == expected
         assert dict(character_rational(data).items()) == expected
+
+
+def test_engines_and_series_match_bott_on_products_of_projective_spaces():
+    # CP^a x CP^b with O(k1) x O(k2): the character is the convolution of the
+    # two Bott characters.
+    rng = random.Random(29)
+    cases = [((1, 1), (2, 1)), ((1, 2), (1, 2)), ((2, 2), (1, 1))]
+    for _ in range(40):
+        a = rng.randint(1, 3)
+        b = rng.randint(1, 4 - a)
+        cases.append(((a, b), (rng.randint(-6, 4), rng.randint(-6, 4))))
+    for (a, b), (k1, k2) in cases:
+        w1, w2 = rng.sample(range(-6, 7), a + 1), rng.sample(range(-6, 7), b + 1)
+        data = product(projective_space(w1, k1), projective_space(w2, k2))
+        first = projective_space_character(w1, k1)
+        second = projective_space_character(w2, k2)
+        expected = Counter()
+        for (x, s), (y, t) in itertools.product(first.items(), second.items()):
+            expected[x + y] += s * t
+        expected = {weight: mult for weight, mult in expected.items() if mult}
+        support = sorted(expected) or [0]
+        lo, hi = support[0] - 2, support[-1] + 2
+        assert dict(character_rational(data).items()) == expected
+        assert character_series(data, (lo, hi)) == expected
+        counted = {beta: multiplicity(data, beta) for beta in range(lo, hi + 1)}
+        assert {beta: mult for beta, mult in counted.items() if mult} == expected
 
 
 def test_rational_character_is_polarization_invariant():
