@@ -40,11 +40,11 @@ from .fixed_points import (
     validate,
 )
 from .kostant import NonIntegerMultiplicityError, character_rational, multiplicity
-from .laurent import NotDivisibleError, OddExponentError, SupportLimitError, VirtualCharacter
+from .laurent import LaurentPoly, NotDivisibleError, SupportLimitError
 from . import sphere as sphere_catalogue
 
 
-def format_character_report(char: VirtualCharacter) -> str:
+def format_character_report(char: LaurentPoly) -> str:
     """The quantize --character output: one 'weight: multiplicity' line each."""
     if not char:
         return "(zero representation)"
@@ -238,6 +238,6 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotDivisibleError, OddExponentError, NonIntegerMultiplicityError) as exc:
+    except (NotDivisibleError, NonIntegerMultiplicityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

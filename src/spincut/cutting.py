@@ -21,7 +21,7 @@ from .fixed_points import (
     require_valid,
 )
 from .kostant import character_rational
-from .laurent import NotDivisibleError, VirtualCharacter
+from .laurent import LaurentPoly, NotDivisibleError
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def build_cut_data(
     return halves[0], halves[1]
 
 
-def _character_for(label: str, data: FixedPointData) -> VirtualCharacter:
+def _character_for(label: str, data: FixedPointData) -> LaurentPoly:
     try:
         return character_rational(data)
     except NotDivisibleError as exc:

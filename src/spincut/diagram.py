@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import laurent
 
 
-def render_diagram(char: laurent.VirtualCharacter) -> list[str]:
+def render_diagram(char: laurent.LaurentPoly) -> list[str]:
     """Two rows: multiplicities with explicit signs, then integer tick labels.
 
     Ticks run from one below the support to one above it (around 0 for the

@@ -209,15 +209,18 @@ def serialize_dataset(data: FixedPointData) -> str:
 def parse_cut_spec(text: str | bytes) -> CutSpecification:
     """Parse a cut specification document (types checked, not semantics).
 
-    A repeated component index, under any spelling, raises InvalidDataError
-    from CutSpecification.
+    An index is ASCII decimal digits with an optional minus sign.  A repeated
+    index, under any spelling, raises InvalidDataError from CutSpecification.
     """
     doc = _require_object(_load_json(text), "cutspec", {"assignments", "reduced"})
     if "assignments" not in doc or not isinstance(doc["assignments"], dict):
         raise SchemaError("cutspec.assignments", "expected an object")
     assignments = []
     for key, side in doc["assignments"].items():
+        # int() alone also reads "1_0", " 2 ", "+3" and other scripts' digits.
         try:
+            if not re.fullmatch(r"-?\d+", key, flags=re.ASCII):
+                raise ValueError(key)
             assignments.append((int(key), side))
         except ValueError:
             path = f"assignments.{key}"

@@ -12,14 +12,15 @@ brute-force oracle.  The counting route and the oracle expand every weight in
 its positive direction, so each takes any valid data and works on its
 polarization (fixed_points.polarize); the rational route needs none.
 
-Conventions.  Characters live in the doubled-exponent variable of the laurent
-module, so the weight beta sits at q-exponent 2*beta and a determinant weight
-mu contributes the monomial q^mu.  All half-integer bookkeeping (partition
-targets, expansion steps k, surface integrand values) is carried doubled and
-integrality is asserted only on final multiplicities.  A dim-0 codimension-2
-component contributes exactly like the isolated point with the same data; the
-paper's opposite sign convention is fixed_points.flip_codim2_signs applied to
-the data.
+Conventions.  The rational route works in the circle variable lambda of the
+laurent module: a character is its Laurent polynomial, the weight beta sits
+at lambda^beta, and the parity rule of fixed_points makes every exponent an
+integer.  Only the counting route and the oracle carry half-integer
+bookkeeping (partition targets, expansion steps k, surface integrand values)
+doubled, asserting integrality only on final multiplicities.  A dim-0
+codimension-2 component contributes exactly like the isolated point with the
+same data; the paper's opposite sign convention is
+fixed_points.flip_codim2_signs applied to the data.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .fixed_points import (
     polarize,
     require_valid,
 )
-from .laurent import LaurentPoly, VirtualCharacter, exact_divide, to_character
+from .laurent import LaurentPoly, exact_divide
 
 
 class NonIntegerMultiplicityError(ArithmeticError):
@@ -151,60 +152,52 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
 def component_term(
     comp: IsolatedFixedPoint | Codim2Component,
 ) -> tuple[LaurentPoly, LaurentPoly]:
-    """Closed-form rational contribution of a single component.
+    """Closed-form rational contribution of a single component, in lambda.
 
     Returned as a (numerator, denominator) pair of Laurent polynomials in the
-    form written here, not reduced.  Isolated point: sign * q^mu / prod_j
-    (q^alpha_j - q^-alpha_j).  Point component: sign * q^(mu-alpha) /
-    (1 - q^-2alpha).  Surface component, with x = q^-2alpha:
-    sign * q^(mu-alpha) * ((chern_l - 2*chern_n) - chern_l*x) / (2*(1-x)^2),
+    form written here, not reduced.  Isolated point: sign *
+    lambda^((mu-sum alpha_j)/2) / prod_j (1 - lambda^-alpha_j).  Point
+    component: sign * lambda^((mu-alpha)/2) / (1 - lambda^-alpha).  Surface
+    component, with x = lambda^-alpha:
+    sign * lambda^((mu-alpha)/2) * ((chern_l - 2*chern_n) - chern_l*x) / (2*(1-x)^2),
     which is the geometric-series closed form of the doubled pbar expansion.
-    Polarization is not required; flipped components produce the identical
-    rational function.
+    The component must satisfy the parity rule of fixed_points.validate, which
+    makes each exponent an integer.  Polarization is not required; flipped
+    components produce the identical rational function.
     """
+    one = LaurentPoly.monomial(0)
     if isinstance(comp, IsolatedFixedPoint):
-        numerator = LaurentPoly.monomial(comp.det_weight, comp.sign)
-        denominator = LaurentPoly.one()
+        top = (comp.det_weight - sum(comp.weights)) // 2
+        denominator = one
         for alpha in comp.weights:
-            denominator = denominator * (
-                LaurentPoly.monomial(alpha) - LaurentPoly.monomial(-alpha)
-            )
-        return numerator, denominator
+            denominator = denominator * (one - LaurentPoly.monomial(-alpha))
+        return LaurentPoly.monomial(top, comp.sign), denominator
     alpha = comp.normal_weight
-    base = LaurentPoly.monomial(comp.det_weight - alpha, comp.sign)
-    one_minus_x = LaurentPoly.one() - LaurentPoly.monomial(-2 * alpha)
+    base = LaurentPoly.monomial((comp.det_weight - alpha) // 2, comp.sign)
+    one_minus_x = one - LaurentPoly.monomial(-alpha)
     if comp.dim == 0:
-        numerator = base
-        denominator = one_minus_x
-    else:
-        series_num = LaurentPoly(
-            {
-                0: comp.chern_l - 2 * comp.chern_n,
-                -2 * alpha: -comp.chern_l,
-            }
-        )
-        numerator = base * series_num
-        denominator = (one_minus_x * one_minus_x) * LaurentPoly.monomial(0, 2)
-    return numerator, denominator
+        return base, one_minus_x
+    series = LaurentPoly({0: comp.chern_l - 2 * comp.chern_n, -alpha: -comp.chern_l})
+    return base * series, (one_minus_x * one_minus_x) * LaurentPoly.monomial(0, 2)
 
 
-def character_rational(data: FixedPointData) -> VirtualCharacter:
-    """Full character by exact rational algebra.
+def character_rational(data: FixedPointData) -> LaurentPoly:
+    """Full character by exact rational algebra in lambda.
 
     Starting from 0/1, each component's (numerator, denominator) pair is
     folded in by cross-multiplying, n/d + n'/d' = (n*d' + n'*d)/(d*d'), and
-    the final numerator is divided exactly by the final denominator.  The sum
-    of fixed-point contributions of a genuine closed manifold is a Laurent
-    polynomial, so exact division must succeed.  NotDivisible therefore means
-    the data is not realizable; OddExponent means a half weight leaked
-    through.  Polarization is not required.
+    the final numerator is divided exactly by the final denominator.  The
+    quotient is the character itself.  The sum of fixed-point contributions
+    of a genuine closed manifold is a Laurent polynomial, so exact division
+    must succeed; NotDivisibleError therefore means the data is not
+    realizable.  Polarization is not required.
     """
     require_valid(data)
-    num, den = LaurentPoly.zero(), LaurentPoly.one()
+    num, den = LaurentPoly(), LaurentPoly.monomial(0)
     for comp in data.components():
         n, d = component_term(comp)
         num, den = num * d + n * den, den * d
-    return to_character(exact_divide(num, den))
+    return exact_divide(num, den)
 
 
 def character_series(data: FixedPointData, window: tuple[int, int]) -> dict[int, int]:

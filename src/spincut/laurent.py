@@ -1,27 +1,19 @@
-"""Exact arithmetic for integer Laurent polynomials and virtual characters.
+"""Exact arithmetic for integer Laurent polynomials in the circle variable.
 
-Everything downstream works in a variable q with doubled exponents: q stands
-for a square root of the circle variable lambda, so the stored exponent e
-represents lambda^(e/2).  Doubling keeps half-integer weights integral and
-every operation exact.  A virtual character is the undoubled view: a finite
-integer multiplicity for each weight.
-
-Both are immutable sparse maps from integers to nonzero integers, and share
-one implementation of storage, equality and addition.  A polynomial and a
-character are never equal and never add: they differ by the doubling.
+A virtual character of the circle is its Laurent polynomial in the circle
+variable lambda: the coefficient of lambda^beta is the multiplicity of the
+weight beta.  So one class serves both as the polynomial the rational route
+multiplies and divides and as the character it returns.  Every operation is
+exact.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, TypeVar
+from typing import Mapping
 
 
 class NotDivisibleError(ArithmeticError):
     """Exact division failed: the quotient is not a Laurent polynomial."""
-
-
-class OddExponentError(ValueError):
-    """A nonzero coefficient sits at an odd q-exponent (half-weight leak)."""
 
 
 class SupportLimitError(ValueError):
@@ -36,11 +28,8 @@ class SupportLimitError(ValueError):
 MAX_QUOTIENT_TERMS = 1 << 20
 
 
-_Map = TypeVar("_Map", bound="_SparseMap")
-
-
-class _SparseMap:
-    """Immutable map from integers to nonzero integers; zeros are dropped."""
+class LaurentPoly:
+    """Immutable integer Laurent polynomial in lambda; zeros are dropped."""
 
     __slots__ = ("_coeffs",)
 
@@ -56,59 +45,19 @@ class _SparseMap:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls: type[_Map]) -> _Map:
-        return cls()
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """All (key, value) pairs, key ascending."""
-        return tuple(sorted(self._coeffs.items()))
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __neg__(self: _Map) -> _Map:
-        return type(self)({k: -v for k, v in self._coeffs.items()})
-
-    def __add__(self: _Map, other: _Map) -> _Map:
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return type(self)(out)
-
-    def __sub__(self: _Map, other: _Map) -> _Map:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class LaurentPoly(_SparseMap):
-    """Integer Laurent polynomial in q, keyed by exponent."""
-
-    __slots__ = ()
-
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls({0: 1})
-
-    @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> LaurentPoly:
         return cls({exponent: coefficient})
 
-    def coefficient(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
+    def items(self) -> tuple[tuple[int, int], ...]:
+        """All (exponent, coefficient) pairs, exponent ascending."""
+        return tuple(sorted(self._coeffs.items()))
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted(self._coeffs))
+
+    def multiplicity(self, weight: int) -> int:
+        """The coefficient of lambda^weight: the weight's multiplicity."""
+        return self._coeffs.get(weight, 0)
 
     def min_exponent(self) -> int:
         if not self._coeffs:
@@ -119,6 +68,33 @@ class LaurentPoly(_SparseMap):
         if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
         return max(self._coeffs)
+
+    def __len__(self) -> int:
+        return len(self._coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def __neg__(self) -> LaurentPoly:
+        return LaurentPoly({k: -v for k, v in self._coeffs.items()})
+
+    def __add__(self, other: LaurentPoly) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        out = dict(self._coeffs)
+        for k, v in other._coeffs.items():
+            out[k] = out.get(k, 0) + v
+        return LaurentPoly(out)
+
+    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -135,6 +111,9 @@ class LaurentPoly(_SparseMap):
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
+    def __repr__(self) -> str:
+        return f"LaurentPoly({dict(self.items())!r})"
+
 
 def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPoly:
     """Return the quotient r with r * denominator == numerator, exactly.
@@ -149,9 +128,9 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
     if not denominator:
         raise ZeroDivisionError("division by the zero polynomial")
     if not numerator:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     den_top = denominator.max_exponent()
-    den_lead = denominator.coefficient(den_top)
+    den_lead = denominator.multiplicity(den_top)
     # Any exact quotient has its lowest exponent pinned by the input lows.
     shift_floor = numerator.min_exponent() - denominator.min_exponent()
     remainder = dict(item for item in numerator.items())
@@ -178,35 +157,3 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
             else:
                 remainder.pop(target, None)
     return LaurentPoly(quotient)
-
-
-class VirtualCharacter(_SparseMap):
-    """Finitely supported integer multiplicity function on the weight lattice."""
-
-    __slots__ = ()
-
-    def multiplicity(self, weight: int) -> int:
-        return self._coeffs.get(weight, 0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.support())
-
-
-def to_character(poly: LaurentPoly) -> VirtualCharacter:
-    """Read a doubled-exponent polynomial back as a character.
-
-    The coefficient at q^(2*beta) becomes the multiplicity of beta.  A nonzero
-    coefficient at an odd exponent means the input was not the character of a
-    virtual representation and raises OddExponentError.
-    """
-    mult: dict[int, int] = {}
-    for exponent, coeff in poly.items():
-        if exponent % 2:
-            raise OddExponentError(
-                f"coefficient {coeff} at odd q-exponent {exponent}"
-            )
-        mult[exponent // 2] = coeff
-    return VirtualCharacter(mult)

@@ -1,0 +1,120 @@
+"""Digest of the spincut command line over a fixed corpus.
+
+Runs spincut.cli.main in process on a fixed set of datasets and prints one
+line: the number of calls, a histogram of exit codes and one SHA-1 over every
+call's arguments, exit code, stdout and stderr, and over every half that
+`cut` writes.  The temporary directory is masked in arguments and stderr, so
+two checkouts that print the same line gave the same bytes on every call.
+This checks a change meant to keep every output against its parent:
+
+    python tests/cli_digest.py --src path/to/parent/src
+    python tests/cli_digest.py --src src
+
+The corpus: the P_{k,n} grid for k, n in -4..4 with the equatorial cut, 60
+cut cases (seed 11), 40 random polarized datasets (seed 5), 40 mixed-sign
+realizable datasets (seed 7), CP^1..CP^4, and one m = 1 file of 21 points
+with weights 1, 2, 4, ..., which passes the product limit.  On each:
+`quantize` with --character, --diagram and --beta, each with and without
+--paper-signs, then `cut` and `check-additivity` with and without
+--paper-signs; plus `sphere --cut --diagram` over the grid.  The datasets
+come from generators.py next to this file, so both checkouts are run on the
+same inputs.  The file is not a test module; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+BETAS = (-2, 0, 3)
+
+
+def corpus():
+    """(dataset, cut spec) pairs; a dataset without its own cut gets one that
+    alternates sides and adds a point at m = 1.  Imports late, from --src."""
+    import generators
+    from spincut import cutting, fixed_points, sphere
+
+    def alternating(data):
+        count = len(data.components())
+        reduced = (cutting.ReducedComponent(0),) if data.half_dimension == 1 else ()
+        sides = {i: "plus" if i % 2 == 0 else "minus" for i in range(count)}
+        return data, cutting.CutSpecification(sides, reduced)
+
+    for k in range(-4, 5):
+        for n in range(-4, 5):
+            yield sphere.sphere_data(k, n), sphere.canonical_cut_spec()
+    rng = random.Random(11)
+    for _ in range(60):
+        yield generators.cut_case(rng)
+    rng = random.Random(5)
+    for _ in range(40):
+        yield alternating(generators.random_polarized_dataset(rng))
+    rng = random.Random(7)
+    for _ in range(40):
+        data = generators.realizable_dataset(rng)
+        yield alternating(generators.mixed_sign_variant(rng, data))
+    for m in range(1, 5):
+        for k in (2, -1, -m - 2):
+            yield alternating(generators.projective_space(list(range(m + 1)), k))
+    points = tuple(fixed_points.IsolatedFixedPoint((2**i,), 2**i, 1) for i in range(21))
+    yield alternating(fixed_points.FixedPointData(1, points))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="the src directory to run")
+    src = Path(parser.parse_args().src).resolve()
+    sys.path[:0] = [str(src), str(Path(__file__).resolve().parent)]
+    import spincut
+    from spincut import cli, documents
+
+    if not Path(spincut.__file__).resolve().is_relative_to(src):
+        sys.exit(f"spincut was imported from {spincut.__file__}, not from {src}")
+    digest, codes = hashlib.sha1(), Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def call(*argv: str) -> None:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(list(argv))
+                except Exception as exc:  # a traceback is an outcome too
+                    code = f"raised {type(exc).__name__}: {exc}"
+            codes[code] += 1
+            record = (argv, code, out.getvalue(), err.getvalue())
+            digest.update(repr(record).replace(tmp, "<tmp>").encode("utf-8"))
+
+        for index, (data, spec) in enumerate(corpus()):
+            path, spec_path = Path(tmp, f"{index}.json"), Path(tmp, f"{index}.cut.json")
+            path.write_text(documents.serialize_dataset(data), encoding="utf-8")
+            spec_path.write_text(documents.serialize_cut_spec(spec), encoding="utf-8")
+            for signs in ((), ("--paper-signs",)):
+                call("quantize", str(path), "--character", *signs)
+                call("quantize", str(path), "--diagram", *signs)
+                for beta in BETAS:
+                    call("quantize", str(path), "--beta", str(beta), *signs)
+                call("check-additivity", str(path), str(spec_path), *signs)
+            halves = [Path(tmp, "plus.json"), Path(tmp, "minus.json")]
+            outs = ("--out-plus", str(halves[0]), "--out-minus", str(halves[1]))
+            call("cut", str(path), str(spec_path), *outs)
+            for half in halves:
+                digest.update(half.read_bytes() if half.exists() else b"(not written)")
+                half.unlink(missing_ok=True)
+        for k in range(-4, 5):
+            for n in range(-4, 5):
+                call("sphere", "--k", str(k), "--n", str(n), "--cut", "--diagram")
+    histogram = ", ".join(f"{code}: {n}" for code, n in sorted(codes.items(), key=str))
+    calls = sum(codes.values())
+    print(f"{calls} calls; exit codes {histogram}; sha1 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

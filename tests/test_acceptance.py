@@ -18,7 +18,7 @@ from spincut.diagram import render_diagram
 from spincut.documents import parse_dataset
 from spincut.fixed_points import polarize, validate
 from spincut.kostant import character_rational, character_series, multiplicity
-from spincut.laurent import VirtualCharacter
+from spincut.laurent import LaurentPoly
 from spincut.sphere import (
     canonical_cut_spec,
     closed_form_multiplicity,
@@ -159,14 +159,14 @@ def test_acceptance_7_worked_diagram_families():
     _checked(7, "diagram content of the three worked families", body)
 
 
-def _parse_character_report(text: str) -> VirtualCharacter:
+def _parse_character_report(text: str) -> LaurentPoly:
     if text == "(zero representation)\n":
-        return VirtualCharacter.zero()
+        return LaurentPoly()
     mults = {}
     for line in text.splitlines():
         weight, mult = line.split(": ")
         mults[int(weight)] = int(mult)
-    return VirtualCharacter(mults)
+    return LaurentPoly(mults)
 
 
 def test_acceptance_8_pipeline_integrity(tmp_path, capsys):

@@ -21,7 +21,7 @@ from spincut.diagram import render_diagram
 from spincut.documents import parse_dataset, serialize_cut_spec, serialize_dataset
 from spincut.fixed_points import FixedPointData, IsolatedFixedPoint, validate
 from spincut.kostant import character_rational
-from spincut.laurent import VirtualCharacter
+from spincut.laurent import LaurentPoly
 from spincut.sphere import canonical_cut_spec, sphere_data
 
 from .generators import projective_space, realizable_dataset
@@ -339,6 +339,8 @@ FAULTY_SPECS = (
      "reduced[0]: dim-2 components need chern_Lred and chern_Nminus"),
     ('{"a": "plus", "0": "plus", "1": "minus"}', '[{"dim": 0}]',
      "assignments.a: component index must be an integer"),
+    ('{"0": "plus", "1_0": "minus"}', '[{"dim": 0}]',
+     "assignments.1_0: component index must be an integer"),
 )
 
 
@@ -675,8 +677,8 @@ def test_validate_reports_violations(tmp_path, capsys):
 
 
 def test_character_report_formatting():
-    assert format_character_report(VirtualCharacter.zero()) == "(zero representation)"
-    assert format_character_report(VirtualCharacter({3: 1, -2: -4})) == "-2: -4\n3: 1"
+    assert format_character_report(LaurentPoly()) == "(zero representation)"
+    assert format_character_report(LaurentPoly({3: 1, -2: -4})) == "-2: -4\n3: 1"
 
 
 def test_module_entry_point():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spincut.diagram import render_diagram
 from spincut.kostant import character_rational
-from spincut.laurent import VirtualCharacter
+from spincut.laurent import LaurentPoly
 from spincut.sphere import sphere_data
 
 TOKEN = re.compile(r"[+-]?\d+")
@@ -42,7 +42,7 @@ def test_sphere_0_3_diagram():
 
 
 def test_zero_character_diagram():
-    lines = render_diagram(VirtualCharacter.zero())
+    lines = render_diagram(LaurentPoly())
     assert axis_ticks(lines) == [-1, 0, 1]
     assert lines[0] == ""
 
@@ -53,13 +53,13 @@ def test_exact_layout_of_small_diagram():
 
 
 def test_negative_multiplicities_render_with_sign():
-    lines = render_diagram(VirtualCharacter({1: -1, 2: -1}))
+    lines = render_diagram(LaurentPoly({1: -1, 2: -1}))
     assert diagram_positions(lines) == {1: -1, 2: -1}
     assert "-1" in lines[0]
 
 
 def test_wide_labels_stay_aligned():
-    char = VirtualCharacter({9: -1, 10: 12, -3: 4})
+    char = LaurentPoly({9: -1, 10: 12, -3: 4})
     lines = render_diagram(char)
     assert axis_ticks(lines) == list(range(-4, 12))
     assert diagram_positions(lines) == {-3: 4, 9: -1, 10: 12}
@@ -67,7 +67,7 @@ def test_wide_labels_stay_aligned():
 
 characters = st.dictionaries(
     st.integers(-30, 30), st.integers(-99, 99).filter(bool), max_size=8
-).map(VirtualCharacter)
+).map(LaurentPoly)
 
 
 @given(characters)

@@ -263,7 +263,7 @@ def test_cut_spec_rejects_an_index_given_twice():
     # CutSpecification refuses the repeat, whichever way the index is spelled.
     for text, index in (
         ('{"assignments": {"0": "plus", "00": "minus"}, "reduced": []}', 0),
-        ('{"assignments": {"1": "plus", "0": "plus", " 1": "plus"}, "reduced": []}', 1),
+        ('{"assignments": {"1": "plus", "0": "plus", "01": "plus"}, "reduced": []}', 1),
     ):
         with pytest.raises(InvalidDataError, match="assigned twice") as exc:
             parse_cut_spec(text)
@@ -278,8 +278,14 @@ def test_cut_spec_assignments_must_be_an_object():
 
 
 def test_cut_spec_rejects_non_integer_index():
-    with pytest.raises(SchemaError):
-        parse_cut_spec('{"assignments": {"a": "plus"}, "reduced": []}')
+    # int() alone would read "1_0", " 2 ", "+3" and "\u0661" as 10, 2, 3 and 1.
+    for key in ("a", "1_0", " 2 ", "+3", "\u0661"):
+        text = json.dumps({"assignments": {key: "plus"}, "reduced": []})
+        with pytest.raises(SchemaError) as exc:
+            parse_cut_spec(text)
+        assert str(exc.value) == f"assignments.{key}: component index must be an integer"
+    text = '{"assignments": {"-0": "plus", "12": "minus"}, "reduced": []}'
+    assert parse_cut_spec(text).assignments == ((0, "plus"), (12, "minus"))
 
 
 def test_cut_spec_rejects_unknown_reduced_keys():

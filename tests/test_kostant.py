@@ -25,7 +25,7 @@ from spincut.kostant import (
     partition_count,
     pbar,
 )
-from spincut.laurent import LaurentPoly, NotDivisibleError, VirtualCharacter
+from spincut.laurent import LaurentPoly, NotDivisibleError
 from spincut.sphere import sphere_data
 
 from .generators import (
@@ -191,10 +191,30 @@ def test_dim0_component_matches_isolated_point():
         assert n1 * d2 == n2 * d1
 
 
+def test_component_term_lambda_forms():
+    # Each closed form in the circle variable lambda, unreduced.
+    point = IsolatedFixedPoint((1,), 1, 1)
+    assert component_term(point) == (LaurentPoly({0: 1}), LaurentPoly({0: 1, -1: -1}))
+    # (3 - (1 - 2)) / 2 = 2; (1 - lambda^-1)(1 - lambda^2)
+    point = IsolatedFixedPoint((1, -2), 3, -1)
+    assert component_term(point) == (
+        LaurentPoly({2: -1}),
+        LaurentPoly({1: 1, 0: 1, -1: -1, 2: -1}),
+    )
+    comp = Codim2Component(dim=0, normal_weight=2, det_weight=4, sign=-1)
+    assert component_term(comp) == (LaurentPoly({1: -1}), LaurentPoly({0: 1, -2: -1}))
+    # lambda * ((5 - 2) - 5 lambda^-1) / (2 (1 - lambda^-1)^2)
+    comp = Codim2Component(2, 1, 3, 1, chern_l=5, chern_n=1)
+    assert component_term(comp) == (
+        LaurentPoly({1: 3, 0: -5}),
+        LaurentPoly({0: 2, -1: -4, -2: 2}),
+    )
+
+
 def test_character_rational_examples():
-    assert character_rational(sphere_data(0, 1)) == VirtualCharacter({1: 1})
-    assert character_rational(sphere_data(0, 0)) == VirtualCharacter.zero()
-    assert character_rational(FixedPointData(half_dimension=1)) == VirtualCharacter.zero()
+    assert character_rational(sphere_data(0, 1)) == LaurentPoly({1: 1})
+    assert character_rational(sphere_data(0, 0)) == LaurentPoly()
+    assert character_rational(FixedPointData(half_dimension=1)) == LaurentPoly()
 
 
 def test_character_rational_rejects_unrealizable_data():
@@ -221,10 +241,10 @@ def test_geometric_simplification_identity():
     # (q^-a - q^a) / ((1 - q^2a)(1 - q^-2a)) equals 1 / (q^a - q^-a)
     for a in range(1, 9):
         n1 = LaurentPoly.monomial(-a) - LaurentPoly.monomial(a)
-        d1 = (LaurentPoly.one() - LaurentPoly.monomial(2 * a)) * (
-            LaurentPoly.one() - LaurentPoly.monomial(-2 * a)
+        d1 = (LaurentPoly.monomial(0) - LaurentPoly.monomial(2 * a)) * (
+            LaurentPoly.monomial(0) - LaurentPoly.monomial(-2 * a)
         )
-        n2 = LaurentPoly.one()
+        n2 = LaurentPoly.monomial(0)
         d2 = LaurentPoly.monomial(a) - LaurentPoly.monomial(-a)
         assert n1 * d2 == n2 * d1
 
@@ -380,8 +400,8 @@ def test_paper_signs_negates_pure_codim2_character():
         ),
     )
     flipped = flip_codim2_signs(data)
-    assert character_rational(data) == VirtualCharacter({1: 1, 2: 1})
-    assert character_rational(flipped) == VirtualCharacter({1: -1, 2: -1})
+    assert character_rational(data) == LaurentPoly({1: 1, 2: 1})
+    assert character_rational(flipped) == LaurentPoly({1: -1, 2: -1})
     for beta in range(-5, 6):
         assert multiplicity(flipped, beta) == -multiplicity(data, beta)
     assert character_series(flipped, (-5, 5)) == {1: -1, 2: -1}

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spincut.laurent import (
-    LaurentPoly,
-    NotDivisibleError,
-    OddExponentError,
-    VirtualCharacter,
-    exact_divide,
-    to_character,
-)
+from spincut.laurent import LaurentPoly, NotDivisibleError, exact_divide
 
 
 def q(exponent: int, coefficient: int = 1) -> LaurentPoly:
@@ -23,7 +16,7 @@ polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(
 )
 nonzero_polys = polys.filter(bool)
 characters = st.dictionaries(st.integers(-10, 10), st.integers(-9, 9), max_size=8).map(
-    VirtualCharacter
+    LaurentPoly
 )
 
 
@@ -32,12 +25,12 @@ def test_difference_of_squares():
 
 
 def test_additive_inverse_cancels():
-    assert (q(1) - q(-1)) + (q(-1) - q(1)) == LaurentPoly.zero()
+    assert (q(1) - q(-1)) + (q(-1) - q(1)) == LaurentPoly()
 
 
 def test_subtracting_zero_is_identity():
     p = q(3) - q(1)
-    assert p - LaurentPoly.zero() == p
+    assert p - LaurentPoly() == p
 
 
 def test_no_zero_coefficients_stored():
@@ -59,49 +52,26 @@ def test_exact_divide_examples():
 
 
 def test_exact_divide_zero_numerator_and_zero_denominator():
-    assert exact_divide(LaurentPoly.zero(), q(1)) == LaurentPoly.zero()
+    assert exact_divide(LaurentPoly(), q(1)) == LaurentPoly()
     with pytest.raises(ZeroDivisionError):
-        exact_divide(q(1), LaurentPoly.zero())
-
-
-def test_to_character_examples():
-    assert to_character(q(2)) == VirtualCharacter({1: 1})
-    assert to_character(q(-4, 3) - q(0, 2)) == VirtualCharacter({-2: 3, 0: -2})
-    with pytest.raises(OddExponentError):
-        to_character(q(3))
+        exact_divide(q(1), LaurentPoly())
 
 
 def test_character_add_examples():
-    assert VirtualCharacter({1: 1}) + VirtualCharacter({1: -1}) == VirtualCharacter()
-    assert VirtualCharacter({2: 1, 3: 1}) + VirtualCharacter() == VirtualCharacter(
+    assert LaurentPoly({1: 1}) + LaurentPoly({1: -1}) == LaurentPoly()
+    assert LaurentPoly({2: 1, 3: 1}) + LaurentPoly() == LaurentPoly({2: 1, 3: 1})
+    assert LaurentPoly({1: 1, 2: 1, 3: 1}) + LaurentPoly({1: -1}) == LaurentPoly(
         {2: 1, 3: 1}
     )
-    assert VirtualCharacter({1: 1, 2: 1, 3: 1}) + VirtualCharacter(
-        {1: -1}
-    ) == VirtualCharacter({2: 1, 3: 1})
-
-
-def test_polynomial_and_character_never_mix():
-    # Same sparse map, different meaning: exponents are doubled weights.
-    poly, char = LaurentPoly({2: 1, 4: -3}), VirtualCharacter({2: 1, 4: -3})
-    assert poly.items() == char.items()
-    assert poly != char and char != poly
-    with pytest.raises(TypeError):
-        poly + char
-    with pytest.raises(TypeError):
-        char - poly
-    assert repr(poly) == "LaurentPoly({2: 1, 4: -3})"
-    assert repr(char) == "VirtualCharacter({2: 1, 4: -3})"
 
 
 def test_character_accessors():
-    c = VirtualCharacter({3: 1, -2: 4})
+    c = LaurentPoly({3: 1, -2: 4})
     assert c.support() == (-2, 3)
     assert c.items() == ((-2, 4), (3, 1))
     assert c.multiplicity(3) == 1
     assert c.multiplicity(0) == 0
-    assert list(c) == [-2, 3]
-    assert not VirtualCharacter.zero()
+    assert not LaurentPoly()
 
 
 @given(polys, polys)
@@ -132,12 +102,6 @@ def test_mul_distributes(a, b, c):
 @given(polys, nonzero_polys)
 def test_exact_divide_inverts_multiplication(a, b):
     assert exact_divide(a * b, b) == a
-
-
-@given(characters)
-def test_character_laurent_round_trip(c):
-    doubled = LaurentPoly({2 * w: m for w, m in c.items()})
-    assert to_character(doubled) == c
 
 
 @given(characters, characters)
