@@ -2,10 +2,16 @@
 
 Two independent routes compute the same thing.  The counting route evaluates
 one weight at a time: each isolated point contributes a signed count of
-positive half-integer partitions (closed form for two weights, peeled
-enumeration above), and each codimension-2 component
+positive half-integer partitions, and each codimension-2 component
 contributes a signed surface integral when its unique expansion step lands on
-the queried weight.  The rational route assembles every component's closed
+the queried weight.  A count costs O(1) for one or two weights (a divmod, a
+closed form).  For m >= 3 weights it peels one odd multiple of the largest
+weight at a time below m*lcm(weights) and interpolates the count's
+quasi-polynomial above, so its cost is bounded in the queried weight.  A
+counter per sorted weight tuple, m samples per residue class and a counting
+plan per dataset (its polarization, points grouped by weights) are kept in
+bounded functools.lru_cache caches, so a sweep of weights over one dataset
+validates it once.  The rational route assembles every component's closed
 form over a common denominator, divides exactly, and reads off the whole
 character at once.  A truncated geometric series gives a third, deliberately
 brute-force oracle.  The counting route and the oracle expand every weight in
@@ -25,8 +31,9 @@ fixed_points.flip_codim2_signs applied to the data.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Sequence
+from functools import lru_cache, partial
+from math import comb, gcd, lcm
+from typing import Callable, Sequence
 
 from .fixed_points import (
     Codim2Component,
@@ -48,57 +55,104 @@ def partition_count(alphas: Sequence[int], target_doubled: int) -> int:
 
     The target is passed doubled.  Writing each k_j as d_j/2 with d_j an odd
     positive integer, the count is the number of solutions of
-    sum d_j*alpha_j = -target_doubled: a closed form for two weights, peeled
-    enumeration above (one loop per weight beyond the two smallest).  The
-    loops nest by recursion, so a weight count near the interpreter's
-    recursion limit raises InvalidDataError.
+    sum d_j*alpha_j = -target_doubled.  One weight costs a divmod and two a
+    closed form.  Above that, with n = (-target_doubled - sum alpha)/2 and
+    P = lcm(alpha), a query with n < m*P peels one odd multiple of the largest
+    weight at a time, O(n^(m-2)); from n = m*P on, the count is the
+    quasi-polynomial's value from m peeled samples of n's residue class, each
+    below the query, so a far query costs O(1) once its residue is known.
+    Counters per sorted weight tuple and samples per residue are kept in
+    bounded caches.  The peel nests by recursion, so a weight count near the
+    interpreter's recursion limit raises InvalidDataError.
     """
     if not alphas:
         raise ValueError("at least one weight is required")
     if any(a <= 0 for a in alphas):
         raise ValueError("partition weights must be strictly positive")
     try:
-        return _count_odd(tuple(sorted(alphas)), -target_doubled)
+        return _counter(tuple(sorted(alphas)))(-target_doubled)
     except RecursionError:
-        raise InvalidDataError(
-            f"{len(alphas)} weights are too many for the counting path's recursion"
-        ) from None
+        raise _too_deep(len(alphas)) from None
+
+
+def _too_deep(weights: int) -> InvalidDataError:
+    return InvalidDataError(f"{weights} weights are too many for the counting path's recursion")
+
+
+@lru_cache(maxsize=1024)
+def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
+    # The count of odd d_j with sum d_j*alpha_j = remaining, for sorted
+    # positive alphas.  d = 2e + 1 turns it into coin exchange: nonnegative e
+    # with sum e_j*alpha_j = n = (remaining - sum alpha)/2.
+    floor = sum(alphas)
+    if len(alphas) == 1:
+        (a,) = alphas
+
+        def count(remaining: int) -> int:
+            d, leftover = divmod(remaining, a)
+            return 1 if remaining > 0 and leftover == 0 and d % 2 == 1 else 0
+
+    elif len(alphas) == 2:
+        # Over a, b, n divided by their gcd, e1 is fixed modulo b, and the
+        # solutions are its residue plus multiples of b while e1*a <= n
+        # (Sturmfels, "On vector partition functions", 1995).
+        g = gcd(*alphas)
+        a, b = alphas[0] // g, alphas[1] // g
+        inverse = pow(a, -1, b)
+
+        def count(remaining: int) -> int:
+            n, odd = divmod(remaining - floor, 2)
+            if n < 0 or odd or n % g:
+                return 0
+            n //= g
+            e1 = n * inverse % b
+            return (n // a - e1) // b + 1 if e1 * a <= n else 0
+
+    else:
+        # For n >= 0 the coin-exchange count is a quasi-polynomial of degree
+        # m - 1 with period P = lcm(alphas) (Beck & Robins, "Computing the
+        # Continuous Discretely", ch. 1): a polynomial in j on n = r + j*P,
+        # given exactly by Newton's forward differences at j = 0..m-1.
+        period = lcm(*alphas)
+        threshold = len(alphas) * period
+
+        def count(remaining: int) -> int:
+            n, odd = divmod(remaining - floor, 2)
+            if n < 0 or odd:
+                return 0
+            if n < threshold:
+                return _count_odd(alphas, remaining)
+            j, r = divmod(n, period)
+            return sum(d * comb(j, k) for k, d in enumerate(_differences(alphas, r)))
+
+    return count
+
+
+@lru_cache(maxsize=4096)
+def _differences(alphas: tuple[int, ...], r: int) -> tuple[int, ...]:
+    # Forward differences Delta^k at j = 0 of the peeled counts at
+    # n = r + j*lcm(alphas), j = 0..m-1.
+    period = lcm(*alphas)
+    row = [_count_odd(alphas, 2 * (r + j * period) + sum(alphas)) for j in range(len(alphas))]
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    return tuple(heads)
 
 
 def _count_odd(alphas: tuple[int, ...], remaining: int) -> int:
-    # alphas is sorted ascending; the largest weight is peeled first, so the
-    # loop runs the fewest times and ends on the two-weight closed form.
-    if len(alphas) == 1:
-        if remaining <= 0:
-            return 0
-        d, leftover = divmod(remaining, alphas[0])
-        return 1 if leftover == 0 and d % 2 == 1 else 0
-    if len(alphas) == 2:
-        return _count_odd_pair(alphas[0], alphas[1], remaining)
+    # alphas is sorted ascending, at least three; the largest weight is peeled
+    # first, so the loop runs the fewest times and ends on the pair counter.
     rest, last = alphas[:-1], alphas[-1]
+    count_rest = _counter(rest) if len(rest) == 2 else partial(_count_odd, rest)
     rest_floor = sum(rest)  # every remaining d_j is at least 1
     total = 0
     remaining -= last
     while remaining >= rest_floor:
-        total += _count_odd(rest, remaining)
+        total += count_rest(remaining)
         remaining -= 2 * last
     return total
-
-
-def _count_odd_pair(a: int, b: int, remaining: int) -> int:
-    # d = 2e + 1 turns the count into coin exchange: nonnegative (e1, e2)
-    # with e1*a + e2*b = n.  Over a, b, n divided by their gcd, e1 is fixed
-    # modulo b, and the solutions are its residue e1 plus multiples of b
-    # while e1*a <= n (Sturmfels, "On vector partition functions", 1995).
-    n, odd = divmod(remaining - a - b, 2)
-    if n < 0 or odd:
-        return 0
-    g = gcd(a, b)
-    if n % g:
-        return 0
-    a, b, n = a // g, b // g, n // g
-    e1 = n * pow(a, -1, b) % b
-    return (n // a - e1) // b + 1 if e1 * a <= n else 0
 
 
 def pbar(comp: Codim2Component, k_doubled: int) -> int:
@@ -131,14 +185,24 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
     the data is not consistent.  Realizability is not checked: on data that
     is no closed manifold's, this still returns a count, where
     character_rational raises NotDivisibleError.
+
+    The polarized data, with its isolated points grouped by sorted weights
+    and one counter per group, is built once per dataset and kept in a
+    bounded cache keyed on the (frozen, hashable) data, so a sweep of weights
+    validates and sorts once.  Each point then costs one count, as in
+    partition_count: O(1) for m <= 2, and for m >= 3 past m*lcm(weights)
+    once the residue's samples are cached.  Invalid data raises
+    InvalidDataError on every call, since a raise is never cached.
     """
-    data = polarize(data)
+    groups, codim2 = _counting_plan(data)
     doubled = 0
-    for point in data.isolated:
-        doubled += 2 * point.sign * partition_count(
-            point.weights, 2 * beta - point.det_weight
-        )
-    for comp in data.codim2:
+    try:
+        for count, points in groups:
+            for det_weight, sign in points:
+                doubled += 2 * sign * count(det_weight - 2 * beta)
+    except RecursionError:
+        raise _too_deep(data.half_dimension) from None
+    for comp in codim2:
         k_doubled, leftover = divmod(comp.det_weight - 2 * beta, comp.normal_weight)
         if leftover == 0 and k_doubled > 0 and k_doubled % 2 == 1:
             doubled += comp.sign * pbar(comp, k_doubled)
@@ -147,6 +211,22 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
             f"half multiplicity at weight {beta}: doubled total {doubled} is odd"
         )
     return doubled // 2
+
+
+# A counter and the (det_weight, sign) of every isolated point it counts.
+_Group = tuple[Callable[[int], int], tuple[tuple[int, int], ...]]
+
+
+@lru_cache(maxsize=32)
+def _counting_plan(data: FixedPointData) -> tuple[tuple[_Group, ...], tuple[Codim2Component, ...]]:
+    # ((counter, ((det_weight, sign), ...)) per sorted weight tuple, codim2),
+    # all polarized; polarize validates, and a raise is never cached.
+    data = polarize(data)
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for point in data.isolated:
+        groups.setdefault(tuple(sorted(point.weights)), []).append((point.det_weight, point.sign))
+    plan = tuple((_counter(alphas), tuple(points)) for alphas, points in groups.items())
+    return plan, data.codim2
 
 
 def component_term(

@@ -14,11 +14,14 @@ The corpus: the P_{k,n} grid for k, n in -4..4 with the equatorial cut, 60
 cut cases (seed 11), 40 random polarized datasets (seed 5), 40 mixed-sign
 realizable datasets (seed 7), CP^1..CP^4, and one m = 1 file of 21 points
 with weights 1, 2, 4, ..., which passes the product limit.  On each:
-`quantize` with --character, --diagram and --beta, each with and without
---paper-signs, then `cut` and `check-additivity` with and without
---paper-signs; plus `sphere --cut --diagram` over the grid.  The datasets
+`quantize` with --character, --diagram and --beta at each of BETAS, each
+with and without --paper-signs, then `cut` and `check-additivity` with and
+without --paper-signs; plus `sphere --cut --diagram` over the grid.  The datasets
 come from generators.py next to this file, so both checkouts are run on the
-same inputs.  The file is not a test module; pytest does not collect it.
+same inputs.  BETAS reach -400 so that counting at m >= 3 passes the
+threshold m*lcm(weights) above which it interpolates the quasi-polynomial
+instead of peeling.  The file is not a test module; pytest does not collect
+it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-BETAS = (-2, 0, 3)
+BETAS = (-400, -40, -2, 0, 3)
 
 
 def corpus():

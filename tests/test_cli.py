@@ -415,6 +415,18 @@ def test_beta_past_the_counting_recursion_exits_1(tmp_path, capsys):
     assert err == "error: 1500 weights are too many for the counting path's recursion\n"
 
 
+def test_beta_far_below_an_m3_point_is_counted_at_once(tmp_path, capsys):
+    # Three weights 1 count C(n + 2, 2) at n = -beta - 1; peeling one odd
+    # multiple at a time took about a second per 10^6 of |beta|.
+    data = FixedPointData(3, (IsolatedFixedPoint(weights=(1, 1, 1), det_weight=1, sign=1),))
+    path = write_dataset(tmp_path, data)
+    for beta, count in (("-1000000", "500000500000"), ("-100000000", "5000000050000000")):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "quantize", path, "--beta", beta)
+        assert (code, out, err) == (0, count + "\n", "")
+        assert time.perf_counter() - started < 5
+
+
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     for argv in (["quantize"], ["frobnicate"], ["sphere", "--k", "x", "--n", "1"]):
         code, out, err = run_cli(capsys, *argv)
