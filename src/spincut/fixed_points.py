@@ -11,6 +11,7 @@ entries first.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 
 class InvalidDataError(ValueError):
@@ -48,7 +49,16 @@ class Codim2Component:
 
 @dataclass(frozen=True)
 class FixedPointData:
-    """Half dimension m together with every fixed component."""
+    """Half dimension m together with every fixed component.
+
+    Equality and the hash are over the three fields, as for any frozen
+    dataclass, but the hash is computed once per instance: the bounded
+    caches of polarize and the counting engine look a dataset up on every
+    call, and a sweep of weights would otherwise hash every field each
+    time.  The cached value is not pickled or copied, since hash(None), and
+    so the hash of a dataset with a dim-0 codim-2 component, may differ
+    between processes.
+    """
 
     half_dimension: int
     isolated: tuple[IsolatedFixedPoint, ...] = ()
@@ -57,6 +67,19 @@ class FixedPointData:
     def __post_init__(self) -> None:
         object.__setattr__(self, "isolated", tuple(self.isolated))
         object.__setattr__(self, "codim2", tuple(self.codim2))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.half_dimension, self.isolated, self.codim2))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def components(self) -> tuple[IsolatedFixedPoint | Codim2Component, ...]:
         """All components in index order: isolated first, then codim2."""
@@ -195,12 +218,18 @@ def _polarize_component(comp: Codim2Component) -> Codim2Component:
     return replace(flipped, chern_l=comp.chern_l - 2 * comp.chern_n, chern_n=-comp.chern_n)
 
 
+@lru_cache(maxsize=32)
 def polarize(data: FixedPointData) -> FixedPointData:
     """Flip every negative weight positive, trading signs for orientation.
 
-    Raises InvalidDataError on invalid data and returns polarized data
-    unchanged.  det_weight never changes.  Idempotent, validity preserving,
-    and invisible to the rational character path.
+    Raises InvalidDataError on invalid data, on every call.  det_weight
+    never changes.  Idempotent, validity preserving, and invisible to the
+    rational character path; polarized data comes back equal to itself.
+
+    The last 32 results are cached, keyed on the (frozen, hashable) data, so
+    a sweep of weights over one dataset validates it once.  The result is
+    therefore an equal dataset, possibly one computed from an earlier equal
+    input; a raise is never cached.
     """
     require_valid(data)
     if is_polarized(data):

@@ -7,10 +7,13 @@ contributes a signed surface integral when its unique expansion step lands on
 the queried weight.  A count costs O(1) for one or two weights (a divmod, a
 closed form).  For m >= 3 weights it peels one odd multiple of the largest
 weight at a time below m*lcm(weights) and interpolates the count's
-quasi-polynomial above, so its cost is bounded in the queried weight.  A
-counter per sorted weight tuple, m samples per residue class and a counting
-plan per dataset (its polarization, points grouped by weights) are kept in
-bounded functools.lru_cache caches, so a sweep of weights over one dataset
+quasi-polynomial above from m peeled samples, so its cost stops growing
+with the queried weight; a count whose peeling would pass MAX_COUNT_STEPS,
+the counting limit, raises InvalidDataError.  A counter per sorted weight
+tuple, m samples per residue class and a counting plan per dataset (its
+polarization, points grouped by weights) are kept in bounded
+functools.lru_cache caches, and fixed_points.polarize keeps its own, so a
+sweep of weights over one dataset, polarized by the caller or not,
 validates it once.  The rational route assembles every component's closed
 form over a common denominator, divides exactly, and reads off the whole
 character at once.  A truncated geometric series gives a third, deliberately
@@ -32,7 +35,7 @@ fixed_points.flip_codim2_signs applied to the data.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from math import comb, gcd, lcm
+from math import comb, exp, gcd, lcm, lgamma, log
 from typing import Callable, Sequence
 
 from .fixed_points import (
@@ -50,6 +53,16 @@ class NonIntegerMultiplicityError(ArithmeticError):
     """Half contributions failed to cancel; the input data is inconsistent."""
 
 
+# The counting limit.  Below m*lcm(weights), m >= 3 sorted weights a_j are
+# counted by peeling odd multiples of every weight but the two smallest, up
+# to prod_{j>=3} (n // a_j + 1) pair counts (_peel_bound), and a far query's
+# m samples are peeled at up to n = (m-1)*lcm(weights) + r.  So a file of a
+# hundred bytes can ask for 10^12 steps; a count that needs more than this
+# many raises InvalidDataError instead.  At the limit a count takes a few
+# seconds.
+MAX_COUNT_STEPS = 1 << 22
+
+
 def partition_count(alphas: Sequence[int], target_doubled: int) -> int:
     """Count tuples of positive half-integers k_j with target + sum k_j*alpha_j = 0.
 
@@ -62,8 +75,10 @@ def partition_count(alphas: Sequence[int], target_doubled: int) -> int:
     quasi-polynomial's value from m peeled samples of n's residue class, each
     below the query, so a far query costs O(1) once its residue is known.
     Counters per sorted weight tuple and samples per residue are kept in
-    bounded caches.  The peel nests by recursion, so a weight count near the
-    interpreter's recursion limit raises InvalidDataError.
+    bounded caches.  A count that would peel more than MAX_COUNT_STEPS steps,
+    its samples' included, raises InvalidDataError; so does a weight count
+    near the interpreter's recursion limit, since the peel nests by
+    recursion.
     """
     if not alphas:
         raise ValueError("at least one weight is required")
@@ -77,6 +92,22 @@ def partition_count(alphas: Sequence[int], target_doubled: int) -> int:
 
 def _too_deep(weights: int) -> InvalidDataError:
     return InvalidDataError(f"{weights} weights are too many for the counting path's recursion")
+
+
+def _peel_bound(alphas: tuple[int, ...], n: int) -> int:
+    # An upper bound on the pair counts of one peel at n, for sorted alphas:
+    # one per e >= 0 with sum_{j>=3} e_j*a_j <= n, where only the k weights
+    # a_j <= n take part.  With q = n // (the least of them), sum e_j <= q,
+    # so there are at most C(q + k, k); and their unit cubes lie in a simplex
+    # of volume (n + sum a_j)^k / (k! prod a_j).  Exact for three weights.
+    # In logarithms, so that a huge n costs no more than a small one.
+    peeled = [a for a in alphas[2:] if a <= n]
+    if not peeled:
+        return 1
+    k, q = len(peeled), n // peeled[0]
+    binomial = sum(log(q + i) - log(i) for i in range(1, k + 1))
+    simplex = k * log(n + sum(peeled)) - lgamma(k + 1) - sum(map(log, peeled))
+    return round(exp(min(binomial, simplex, 700.0)))
 
 
 @lru_cache(maxsize=1024)
@@ -116,10 +147,27 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
         period = lcm(*alphas)
         threshold = len(alphas) * period
 
+        def steps(n: int) -> int:
+            # The peeling a count at n needs: its own below the threshold,
+            # its residue's m samples above (cached or not, so that an answer
+            # never depends on earlier queries).
+            if n < threshold:
+                return _peel_bound(alphas, n)
+            r = n % period
+            return sum(_peel_bound(alphas, r + j * period) for j in range(len(alphas)))
+
+        # The costliest count is a far one with the largest residue, so
+        # weights whose costliest count is within the limit need no check.
+        checked = steps(threshold + period - 1) > MAX_COUNT_STEPS
+
         def count(remaining: int) -> int:
             n, odd = divmod(remaining - floor, 2)
             if n < 0 or odd:
                 return 0
+            if checked and steps(n) > MAX_COUNT_STEPS:
+                raise InvalidDataError(
+                    f"a count needs more than {MAX_COUNT_STEPS} steps, the counting limit"
+                )
             if n < threshold:
                 return _count_odd(alphas, remaining)
             j, r = divmod(n, period)
@@ -188,11 +236,13 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
 
     The polarized data, with its isolated points grouped by sorted weights
     and one counter per group, is built once per dataset and kept in a
-    bounded cache keyed on the (frozen, hashable) data, so a sweep of weights
-    validates and sorts once.  Each point then costs one count, as in
-    partition_count: O(1) for m <= 2, and for m >= 3 past m*lcm(weights)
-    once the residue's samples are cached.  Invalid data raises
-    InvalidDataError on every call, since a raise is never cached.
+    bounded cache keyed on the (frozen, hashable) data, whose hash is
+    computed once per instance, so a sweep of weights validates and sorts
+    once.  Each point then costs one count, as in partition_count: O(1) for
+    m <= 2, and for m >= 3 past m*lcm(weights) once the residue's samples
+    are cached; past the counting limit it raises InvalidDataError.  Invalid
+    data raises InvalidDataError on every call, since a raise is never
+    cached.
     """
     groups, codim2 = _counting_plan(data)
     doubled = 0

@@ -16,12 +16,19 @@ realizable datasets (seed 7), CP^1..CP^4, and one m = 1 file of 21 points
 with weights 1, 2, 4, ..., which passes the product limit.  On each:
 `quantize` with --character, --diagram and --beta at each of BETAS, each
 with and without --paper-signs, then `cut` and `check-additivity` with and
-without --paper-signs; plus `sphere --cut --diagram` over the grid.  The datasets
-come from generators.py next to this file, so both checkouts are run on the
-same inputs.  BETAS reach -400 so that counting at m >= 3 passes the
-threshold m*lcm(weights) above which it interpolates the quasi-polynomial
-instead of peeling.  The file is not a test module; pytest does not collect
-it.
+without --paper-signs; plus `sphere --cut --diagram` over the grid.  Two
+more m = 3 points, with weights (97, 101, 103) and (1000003, 1000033,
+1000037), get only `quantize --beta` at each of BETAS, with and without
+--paper-signs: the second's counter checks every query against the
+counting limit.  The datasets come from generators.py next to this file, so
+both checkouts are run on the same inputs.  BETAS reach -400 so that
+counting at m >= 3 passes the threshold m*lcm(weights) above which it
+interpolates the quasi-polynomial instead of peeling.  The file is not a
+test module; pytest does not collect it.
+
+With these points, a checkout and its parent both printed
+
+    4079 calls; exit codes 0: 3610, 1: 6, 2: 463; sha1 bf2d5e8473290ffcf65481812c786cdc534c22ac
 """
 
 from __future__ import annotations
@@ -71,6 +78,15 @@ def corpus():
     yield alternating(fixed_points.FixedPointData(1, points))
 
 
+def beta_only():
+    """Datasets queried only with --beta: their characters are too wide."""
+    from spincut import fixed_points
+
+    for weights in ((97, 101, 103), (1000003, 1000033, 1000037)):
+        point = fixed_points.IsolatedFixedPoint(weights, sum(weights) + 2000, 1)
+        yield fixed_points.FixedPointData(3, (point,))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the src directory to run")
@@ -111,6 +127,12 @@ def main() -> None:
             for half in halves:
                 digest.update(half.read_bytes() if half.exists() else b"(not written)")
                 half.unlink(missing_ok=True)
+        for index, data in enumerate(beta_only()):
+            path = Path(tmp, f"beta{index}.json")
+            path.write_text(documents.serialize_dataset(data), encoding="utf-8")
+            for signs in ((), ("--paper-signs",)):
+                for beta in BETAS:
+                    call("quantize", str(path), "--beta", str(beta), *signs)
         for k in range(-4, 5):
             for n in range(-4, 5):
                 call("sphere", "--k", str(k), "--n", str(n), "--cut", "--diagram")

@@ -427,6 +427,31 @@ def test_beta_far_below_an_m3_point_is_counted_at_once(tmp_path, capsys):
         assert time.perf_counter() - started < 5
 
 
+def test_beta_past_the_counting_limit_exits_1_at_once(tmp_path):
+    # Below 3*lcm (about 3*10^18) these weights peel about |beta| / 1000037
+    # steps, and far queries peel samples at up to 2*lcm.  Without the limit,
+    # beta = -10^13 took 11 s, and the time grows linearly in |beta|.
+    point = IsolatedFixedPoint(weights=(1000003, 1000033, 1000037), det_weight=3000073, sign=1)
+    path = write_dataset(tmp_path, FixedPointData(3, (point,)))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    error = "error: a count needs more than 4194304 steps, the counting limit\n"
+    for beta, code, out, err in (
+        ("-100000000000", 0, "3333\n", ""),
+        ("-10000000000000000", 1, "", error),
+        ("-4000000000000000000", 1, "", error),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "spincut", "quantize", path, "--beta", beta],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (code, out, err), beta
+        if code:
+            _assert_one_line_error(result.returncode, result.stdout, result.stderr)
+
+
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     for argv in (["quantize"], ["frobnicate"], ["sphere", "--k", "x", "--n", "1"]):
         code, out, err = run_cli(capsys, *argv)

@@ -8,8 +8,14 @@ from there on; both sides of that threshold are pinned here.
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +23,7 @@ from hypothesis import strategies as st
 
 from spincut import kostant
 from spincut.fixed_points import (
+    Codim2Component,
     FixedPointData,
     InvalidDataError,
     IsolatedFixedPoint,
@@ -170,8 +177,119 @@ def test_mixed_sign_variant_gives_its_polarizations_answers():
 
 
 def test_every_counting_cache_is_bounded():
-    for cached in (kostant._counter, kostant._differences, kostant._counting_plan):
+    for cached in (kostant._counter, kostant._differences, kostant._counting_plan, polarize):
         assert isinstance(cached.cache_info().maxsize, int)
+
+
+def test_polarize_raises_the_same_error_on_every_call():
+    bad = FixedPointData(2, (IsolatedFixedPoint((1, -1), 1, 1),))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InvalidDataError) as info:
+            polarize(bad)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "det_weight minus the weight sum must be even" in messages[0]
+
+
+def test_equal_datasets_built_separately_get_equal_polarizations():
+    def build():
+        point = IsolatedFixedPoint((2, -3, 1), 6, 1)
+        return FixedPointData(3, (point, IsolatedFixedPoint((-1, -1, 4), 4, -1)))
+
+    first, second = build(), build()
+    assert first == second and first is not second
+    assert polarize(first) == polarize(second)
+    assert polarize(second).isolated[0] == IsolatedFixedPoint((2, 3, 1), 6, -1)
+    answers = [multiplicity(first, beta) for beta in range(-40, 10)]
+    polarize.cache_clear()
+    kostant._counting_plan.cache_clear()
+    assert [multiplicity(second, beta) for beta in range(-40, 10)] == answers
+    assert polarize(second) == polarize(first)
+
+
+def test_a_pickled_dataset_hashes_like_one_built_in_a_fresh_process():
+    # hash(None) may differ between processes, and a dim-0 codim-2 component
+    # has None Chern fields, so a hash cached before pickling would be wrong
+    # in the process that loads it.
+    build = (
+        "FixedPointData(1, (IsolatedFixedPoint((1,), 3, 1),), "
+        "(Codim2Component(0, -1, 1, 1), Codim2Component(0, 2, 4, -1)))"
+    )
+    data = eval(build)
+    hash(data)  # as a cache lookup would, before the pickle
+    child = (
+        "import pickle, sys\n"
+        "from spincut.fixed_points import Codim2Component, FixedPointData, IsolatedFixedPoint\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        f"built = {build}\n"
+        "print(loaded == built, hash(loaded) == hash(built), loaded in {built})\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", child],
+        input=pickle.dumps(data),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode() == "True True True\n"
+    assert copy.deepcopy(data) == data and hash(copy.copy(data)) == hash(data)
+
+
+def test_peel_bound_is_at_least_the_pair_counts_and_exact_for_three_weights():
+    # The peel calls the pair counter once per e >= 0 with
+    # sum_{j>=3} e_j*a_j <= n, for sorted weights a.
+    def pair_counts(peeled, n):
+        if not peeled:
+            return 1
+        *rest, last = peeled
+        return sum(pair_counts(rest, n - e * last) for e in range(n // last + 1))
+
+    rng = random.Random(53)
+    for _ in range(200):
+        weights = tuple(sorted(rng.randint(1, 40) for _ in range(rng.randint(3, 6))))
+        n = rng.randint(0, 300)
+        exact = pair_counts(weights[2:], n)
+        assert exact <= kostant._peel_bound(weights, n), (weights, n)
+        if len(weights) == 3:
+            assert kostant._peel_bound(weights, n) == exact
+    # 1498 peeled weights 1 at n = 1: few steps, as the recursion test needs.
+    assert kostant._peel_bound((1,) * 1500, 1) == 1499
+
+
+@pytest.fixture
+def counting_limit(monkeypatch):
+    """Sets kostant.MAX_COUNT_STEPS; counters are rebuilt on both sides."""
+
+    def set_limit(steps):
+        monkeypatch.setattr(kostant, "MAX_COUNT_STEPS", steps)
+        kostant._counter.cache_clear()
+
+    yield set_limit
+    kostant._counter.cache_clear()
+
+
+def test_a_count_past_the_counting_limit_raises_on_every_call(counting_limit):
+    # (7, 11, 13): a peel at n takes n // 13 + 1 steps, and the far queries'
+    # samples at r, r + 1001 and r + 2002 take about (3r + 3003) / 13.
+    weights = (7, 11, 13)
+    table = odd_partition_table(weights, 7000)
+    counting_limit(100)
+    expected = "a count needs more than 100 steps, the counting limit"
+    for n in (13 * 99, 13 * 99 + 12):
+        assert partition_count(weights, -(2 * n + 31)) == table[2 * n + 31]
+    for n in (13 * 100, 2500, 3003):
+        for _ in range(2):
+            with pytest.raises(InvalidDataError, match=expected):
+                partition_count(weights, -(2 * n + 31))
+    data = FixedPointData(3, (IsolatedFixedPoint(weights, 31, 1),))
+    with pytest.raises(InvalidDataError, match=expected):
+        multiplicity(data, -1300)
+    counting_limit(1000)
+    for n in (1300, 2500, 3003, 3200):
+        assert partition_count(weights, -(2 * n + 31)) == table[2 * n + 31]
 
 
 def test_counting_past_the_recursion_limit_raises_on_every_call():
