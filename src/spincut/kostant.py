@@ -35,7 +35,7 @@ fixed_points.flip_codim2_signs applied to the data.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from math import comb, exp, gcd, lcm, lgamma, log
+from math import comb, gcd, lcm
 from typing import Callable, Sequence
 
 from .fixed_points import (
@@ -53,13 +53,13 @@ class NonIntegerMultiplicityError(ArithmeticError):
     """Half contributions failed to cancel; the input data is inconsistent."""
 
 
-# The counting limit.  Below m*lcm(weights), m >= 3 sorted weights a_j are
-# counted by peeling odd multiples of every weight but the two smallest, up
-# to prod_{j>=3} (n // a_j + 1) pair counts (_peel_bound), and a far query's
-# m samples are peeled at up to n = (m-1)*lcm(weights) + r.  So a file of a
-# hundred bytes can ask for 10^12 steps; a count that needs more than this
-# many raises InvalidDataError instead.  At the limit a count takes a few
-# seconds.
+# The counting limit.  Below m*lcm(weights), m >= 3 sorted weights are
+# counted by peeling odd multiples of every weight but the two smallest, one
+# loop iteration per multiple at each level (_peel_steps counts them), and a
+# far query's m samples are peeled at up to n = (m-1)*lcm(weights) + r.  So a
+# file of a hundred bytes can ask for 10^12 iterations; a count that needs
+# more than this many raises InvalidDataError instead.  At the limit a count
+# takes a few seconds.
 MAX_COUNT_STEPS = 1 << 22
 
 
@@ -94,20 +94,49 @@ def _too_deep(weights: int) -> InvalidDataError:
     return InvalidDataError(f"{weights} weights are too many for the counting path's recursion")
 
 
-def _peel_bound(alphas: tuple[int, ...], n: int) -> int:
-    # An upper bound on the pair counts of one peel at n, for sorted alphas:
-    # one per e >= 0 with sum_{j>=3} e_j*a_j <= n, where only the k weights
-    # a_j <= n take part.  With q = n // (the least of them), sum e_j <= q,
-    # so there are at most C(q + k, k); and their unit cubes lie in a simplex
-    # of volume (n + sum a_j)^k / (k! prod a_j).  Exact for three weights.
-    # In logarithms, so that a huge n costs no more than a small one.
-    peeled = [a for a in alphas[2:] if a <= n]
-    if not peeled:
-        return 1
-    k, q = len(peeled), n // peeled[0]
-    binomial = sum(log(q + i) - log(i) for i in range(1, k + 1))
-    simplex = k * log(n + sum(peeled)) - lgamma(k + 1) - sum(map(log, peeled))
-    return round(exp(min(binomial, simplex, 700.0)))
+def _over_limit() -> InvalidDataError:
+    return InvalidDataError(f"a count needs more than {MAX_COUNT_STEPS} steps, the counting limit")
+
+
+def _peel_steps(peeled: tuple[int, ...], n: int, budget: int) -> int:
+    # The loop iterations of _count_odd at n, for the sorted weights it peels
+    # (all but the two smallest): at each level one per multiple of the
+    # largest weight left that fits.  Exact up to budget; past it the sum
+    # stops early at some value above budget.  Every call adds at least one
+    # step, so the check makes at most about budget calls.
+    *rest, a = peeled
+    top = n // a + 1
+    if not rest:
+        return top
+    if len(rest) == 1:
+        # Iteration e runs (n - e*a) // b + 1 inner ones; over i = top-1-e
+        # that is a floor sum of (i*a + n % a) // b.
+        return 2 * top + _floor_sum(top, rest[0], a, n % a)
+    rest = tuple(rest)
+    total = top
+    for e in range(top):
+        total += _peel_steps(rest, n - e * a, budget - total)
+        if total > budget:
+            break
+    return total
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    # sum_{i < n} (a*i + b) // m for n, m >= 1 and a, b >= 0, in O(log)
+    # steps by the Euclid-like reduction (AtCoder Library's floor_sum).
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 @lru_cache(maxsize=1024)
@@ -146,29 +175,18 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
         # given exactly by Newton's forward differences at j = 0..m-1.
         period = lcm(*alphas)
         threshold = len(alphas) * period
-
-        def steps(n: int) -> int:
-            # The peeling a count at n needs: its own below the threshold,
-            # its residue's m samples above (cached or not, so that an answer
-            # never depends on earlier queries).
-            if n < threshold:
-                return _peel_bound(alphas, n)
-            r = n % period
-            return sum(_peel_bound(alphas, r + j * period) for j in range(len(alphas)))
-
-        # The costliest count is a far one with the largest residue, so
-        # weights whose costliest count is within the limit need no check.
-        checked = steps(threshold + period - 1) > MAX_COUNT_STEPS
+        # A peel's steps grow with n, so if the last count below the
+        # threshold is within the limit, no count there needs a check.  Far
+        # counts are checked with their samples, once per residue.
+        checked = _peel_steps(alphas[2:], threshold - 1, MAX_COUNT_STEPS) > MAX_COUNT_STEPS
 
         def count(remaining: int) -> int:
             n, odd = divmod(remaining - floor, 2)
             if n < 0 or odd:
                 return 0
-            if checked and steps(n) > MAX_COUNT_STEPS:
-                raise InvalidDataError(
-                    f"a count needs more than {MAX_COUNT_STEPS} steps, the counting limit"
-                )
             if n < threshold:
+                if checked and _peel_steps(alphas[2:], n, MAX_COUNT_STEPS) > MAX_COUNT_STEPS:
+                    raise _over_limit()
                 return _count_odd(alphas, remaining)
             j, r = divmod(n, period)
             return sum(d * comb(j, k) for k, d in enumerate(_differences(alphas, r)))
@@ -179,9 +197,17 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
 @lru_cache(maxsize=4096)
 def _differences(alphas: tuple[int, ...], r: int) -> tuple[int, ...]:
     # Forward differences Delta^k at j = 0 of the peeled counts at
-    # n = r + j*lcm(alphas), j = 0..m-1.
+    # n = r + j*lcm(alphas), j = 0..m-1.  The samples' peels are held to the
+    # counting limit together before any runs; a refusal is not cached, so
+    # every query of the residue raises, whatever was counted before.
     period = lcm(*alphas)
-    row = [_count_odd(alphas, 2 * (r + j * period) + sum(alphas)) for j in range(len(alphas))]
+    samples = [r + j * period for j in range(len(alphas))]
+    steps = 0
+    for n in samples:
+        steps += _peel_steps(alphas[2:], n, MAX_COUNT_STEPS - steps)
+        if steps > MAX_COUNT_STEPS:
+            raise _over_limit()
+    row = [_count_odd(alphas, 2 * n + sum(alphas)) for n in samples]
     heads = []
     while row:
         heads.append(row[0])
@@ -244,9 +270,9 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
     data raises InvalidDataError on every call, since a raise is never
     cached.
     """
-    groups, codim2 = _counting_plan(data)
     doubled = 0
     try:
+        groups, codim2 = _counting_plan(data)
         for count, points in groups:
             for det_weight, sign in points:
                 doubled += 2 * sign * count(det_weight - 2 * beta)

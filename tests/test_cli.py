@@ -452,6 +452,15 @@ def test_beta_past_the_counting_limit_exits_1_at_once(tmp_path):
             _assert_one_line_error(result.returncode, result.stdout, result.stderr)
 
 
+def test_beta_within_the_counting_limit_is_counted_for_six_weights(tmp_path, capsys):
+    # The peel at n = 2482 over (5, 6, 52, 957) runs 2138184 loop iterations,
+    # half the limit, so a step bound that is 2x loose for m >= 4 refuses it.
+    weights = (2, 5, 5, 6, 52, 957)
+    point = IsolatedFixedPoint(weights=weights, det_weight=sum(weights), sign=1)
+    path = write_dataset(tmp_path, FixedPointData(6, (point,)))
+    assert run_cli(capsys, "quantize", path, "--beta", "-2482") == (0, "123338940\n", "")
+
+
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     for argv in (["quantize"], ["frobnicate"], ["sphere", "--k", "x", "--n", "1"]):
         code, out, err = run_cli(capsys, *argv)

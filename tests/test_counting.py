@@ -238,37 +238,41 @@ def test_a_pickled_dataset_hashes_like_one_built_in_a_fresh_process():
     assert copy.deepcopy(data) == data and hash(copy.copy(data)) == hash(data)
 
 
-def test_peel_bound_is_at_least_the_pair_counts_and_exact_for_three_weights():
-    # The peel calls the pair counter once per e >= 0 with
-    # sum_{j>=3} e_j*a_j <= n, for sorted weights a.
-    def pair_counts(peeled, n):
-        if not peeled:
-            return 1
+def test_peel_steps_are_the_peels_loop_iterations():
+    # The peel runs one iteration per multiple e_j of each weight but the two
+    # smallest, largest first, while sum e_j*a_j <= n for the weights so far.
+    def iterations(peeled, n):
         *rest, last = peeled
-        return sum(pair_counts(rest, n - e * last) for e in range(n // last + 1))
+        return sum(1 + (iterations(rest, n - e * last) if rest else 0) for e in range(n // last + 1))
 
     rng = random.Random(53)
-    for _ in range(200):
-        weights = tuple(sorted(rng.randint(1, 40) for _ in range(rng.randint(3, 6))))
-        n = rng.randint(0, 300)
-        exact = pair_counts(weights[2:], n)
-        assert exact <= kostant._peel_bound(weights, n), (weights, n)
-        if len(weights) == 3:
-            assert kostant._peel_bound(weights, n) == exact
-    # 1498 peeled weights 1 at n = 1: few steps, as the recursion test needs.
-    assert kostant._peel_bound((1,) * 1500, 1) == 1499
+    for _ in range(300):
+        weights = tuple(sorted(rng.randint(1, 40) for _ in range(rng.randint(3, 7))))
+        n = rng.randint(0, 200)
+        exact = iterations(weights[2:], n)
+        assert kostant._peel_steps(weights[2:], n, 10**9) == exact, (weights, n)
+        # Under a smaller budget the sum stops early, but only past it.
+        budget = rng.randint(1, exact)
+        steps = kostant._peel_steps(weights[2:], n, budget)
+        assert steps > budget if exact > budget else steps == exact, (weights, n, budget)
+    # Weights near a trillion at n near 10^18: a floor sum, not a loop.
+    assert kostant._peel_steps((10**12 + 39, 10**12 + 61), 10**18, 1) > 1
 
 
 @pytest.fixture
 def counting_limit(monkeypatch):
-    """Sets kostant.MAX_COUNT_STEPS; counters are rebuilt on both sides."""
+    """Sets kostant.MAX_COUNT_STEPS; every counting cache is emptied on both sides."""
+
+    def clear():
+        for cache in (kostant._counting_plan, kostant._counter, kostant._differences):
+            cache.cache_clear()
 
     def set_limit(steps):
         monkeypatch.setattr(kostant, "MAX_COUNT_STEPS", steps)
-        kostant._counter.cache_clear()
+        clear()
 
     yield set_limit
-    kostant._counter.cache_clear()
+    clear()
 
 
 def test_a_count_past_the_counting_limit_raises_on_every_call(counting_limit):
@@ -293,7 +297,7 @@ def test_a_count_past_the_counting_limit_raises_on_every_call(counting_limit):
 
 
 def test_counting_past_the_recursion_limit_raises_on_every_call():
-    # The plan is cached, the count that overflows the recursion is not.
+    # Neither a plan nor a count that overflows the recursion is cached.
     data = FixedPointData(1500, (IsolatedFixedPoint((1,) * 1500, 1502, 1),))
     expected = "1500 weights are too many for the counting path's recursion"
     for _ in range(2):
