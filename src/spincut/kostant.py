@@ -4,11 +4,11 @@ Two independent routes compute the same thing.  The counting route evaluates
 one weight at a time: each isolated point contributes a signed count of
 positive half-integer partitions, and each codimension-2 component
 contributes a signed surface integral when its unique expansion step lands on
-the queried weight.  A count costs O(1) for one or two weights (a divmod, a
-closed form).  For m >= 3 weights it peels one odd multiple of the largest
-weight at a time below m*lcm(weights) and interpolates the count's
-quasi-polynomial above from m peeled samples, so its cost stops growing
-with the queried weight; a count whose peeling would pass MAX_COUNT_STEPS,
+the queried weight.  A count costs O(1) for one or two weights (a remainder, a
+closed form).  For m >= 3 weights it peels one multiple of the largest
+weight at a time below the depth m*lcm(weights) and interpolates the count's
+quasi-polynomial from there on from m peeled samples, so its cost stops
+growing with the depth; a count whose peeling would pass MAX_COUNT_STEPS,
 the counting limit, raises InvalidDataError.  A counter per sorted weight
 tuple, m samples per residue class and a counting plan per dataset (its
 polarization, points grouped by weights) are kept in bounded
@@ -24,12 +24,15 @@ polarization (fixed_points.polarize); the rational route needs none.
 Conventions.  The rational route works in the circle variable lambda of the
 laurent module: a character is its Laurent polynomial, the weight beta sits
 at lambda^beta, and the parity rule of fixed_points makes every exponent an
-integer.  Only the counting route and the oracle carry half-integer
-bookkeeping (partition targets, expansion steps k, surface integrand values)
-doubled, asserting integrality only on final multiplicities.  A dim-0
-codimension-2 component contributes exactly like the isolated point with the
-same data; the paper's opposite sign convention is
-fixed_points.flip_codim2_signs applied to the data.
+integer.  The counting route reads each component at the depth n = top -
+beta below its top weight, (mu - sum alpha)/2 for an isolated point and
+(mu - alpha)/2 for a codimension-2 one, so it counts nonnegative integers:
+k_j = e_j + 1/2 and sum e_j*alpha_j = n (coin exchange).  Only surface
+integrand values and the oracle's sums stay doubled, and integrality is
+asserted only on final multiplicities.  A dim-0 codimension-2 component
+contributes exactly like the isolated point with the same data; the paper's
+opposite sign convention is fixed_points.flip_codim2_signs applied to the
+data.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class NonIntegerMultiplicityError(ArithmeticError):
 
 
 # The counting limit.  Below m*lcm(weights), m >= 3 sorted weights are
-# counted by peeling odd multiples of every weight but the two smallest, one
+# counted by peeling multiples of every weight but the two smallest, one
 # loop iteration per multiple at each level (_peel_steps counts them), and a
 # far query's m samples are peeled at up to n = (m-1)*lcm(weights) + r.  So a
 # file of a hundred bytes can ask for 10^12 iterations; a count that needs
@@ -66,26 +69,28 @@ MAX_COUNT_STEPS = 1 << 22
 def partition_count(alphas: Sequence[int], target_doubled: int) -> int:
     """Count tuples of positive half-integers k_j with target + sum k_j*alpha_j = 0.
 
-    The target is passed doubled.  Writing each k_j as d_j/2 with d_j an odd
-    positive integer, the count is the number of solutions of
-    sum d_j*alpha_j = -target_doubled.  One weight costs a divmod and two a
-    closed form.  Above that, with n = (-target_doubled - sum alpha)/2 and
-    P = lcm(alpha), a query with n < m*P peels one odd multiple of the largest
+    The target is passed doubled.  With k_j = e_j + 1/2, this is the number
+    of nonnegative e_j with sum e_j*alpha_j = n at the depth
+    n = (-target_doubled - sum alpha)/2, and 0 unless n is a nonnegative
+    integer.  One weight costs a remainder and two a closed form.  Above that,
+    with P = lcm(alpha), a depth n < m*P peels one multiple of the largest
     weight at a time, O(n^(m-2)); from n = m*P on, the count is the
-    quasi-polynomial's value from m peeled samples of n's residue class, each
-    below the query, so a far query costs O(1) once its residue is known.
-    Counters per sorted weight tuple and samples per residue are kept in
-    bounded caches.  A count that would peel more than MAX_COUNT_STEPS steps,
-    its samples' included, raises InvalidDataError; so does a weight count
-    near the interpreter's recursion limit, since the peel nests by
-    recursion.
+    quasi-polynomial's value from m peeled samples of n's residue class,
+    each below n, so it costs O(1) once its residue is known.  Counters per
+    sorted weight tuple and samples per residue are kept in bounded caches.
+    A count that would peel more than MAX_COUNT_STEPS steps, its samples'
+    included, raises InvalidDataError; so does a weight count near the
+    interpreter's recursion limit, since the peel nests by recursion.
     """
     if not alphas:
         raise ValueError("at least one weight is required")
     if any(a <= 0 for a in alphas):
         raise ValueError("partition weights must be strictly positive")
+    n, odd = divmod(-target_doubled - sum(alphas), 2)
+    if n < 0 or odd:
+        return 0
     try:
-        return _counter(tuple(sorted(alphas)))(-target_doubled)
+        return _counter(tuple(sorted(alphas)))(n)
     except RecursionError:
         raise _too_deep(len(alphas)) from None
 
@@ -99,7 +104,7 @@ def _over_limit() -> InvalidDataError:
 
 
 def _peel_steps(peeled: tuple[int, ...], n: int, budget: int) -> int:
-    # The loop iterations of _count_odd at n, for the sorted weights it peels
+    # The loop iterations of _peel at n, for the sorted weights it peels
     # (all but the two smallest): at each level one per multiple of the
     # largest weight left that fits.  Exact up to budget; past it the sum
     # stops early at some value above budget.  Every call adds at least one
@@ -141,16 +146,13 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 @lru_cache(maxsize=1024)
 def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
-    # The count of odd d_j with sum d_j*alpha_j = remaining, for sorted
-    # positive alphas.  d = 2e + 1 turns it into coin exchange: nonnegative e
-    # with sum e_j*alpha_j = n = (remaining - sum alpha)/2.
-    floor = sum(alphas)
+    # The coin-exchange count of nonnegative e_j with sum e_j*alpha_j = n, for
+    # sorted positive alphas and n >= 0.
     if len(alphas) == 1:
         (a,) = alphas
 
-        def count(remaining: int) -> int:
-            d, leftover = divmod(remaining, a)
-            return 1 if remaining > 0 and leftover == 0 and d % 2 == 1 else 0
+        def count(n: int) -> int:
+            return 1 if n % a == 0 else 0
 
     elif len(alphas) == 2:
         # Over a, b, n divided by their gcd, e1 is fixed modulo b, and the
@@ -160,9 +162,8 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
         a, b = alphas[0] // g, alphas[1] // g
         inverse = pow(a, -1, b)
 
-        def count(remaining: int) -> int:
-            n, odd = divmod(remaining - floor, 2)
-            if n < 0 or odd or n % g:
+        def count(n: int) -> int:
+            if n % g:
                 return 0
             n //= g
             e1 = n * inverse % b
@@ -180,14 +181,11 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
         # counts are checked with their samples, once per residue.
         checked = _peel_steps(alphas[2:], threshold - 1, MAX_COUNT_STEPS) > MAX_COUNT_STEPS
 
-        def count(remaining: int) -> int:
-            n, odd = divmod(remaining - floor, 2)
-            if n < 0 or odd:
-                return 0
+        def count(n: int) -> int:
             if n < threshold:
                 if checked and _peel_steps(alphas[2:], n, MAX_COUNT_STEPS) > MAX_COUNT_STEPS:
                     raise _over_limit()
-                return _count_odd(alphas, remaining)
+                return _peel(alphas, n)
             j, r = divmod(n, period)
             return sum(d * comb(j, k) for k, d in enumerate(_differences(alphas, r)))
 
@@ -207,7 +205,7 @@ def _differences(alphas: tuple[int, ...], r: int) -> tuple[int, ...]:
         steps += _peel_steps(alphas[2:], n, MAX_COUNT_STEPS - steps)
         if steps > MAX_COUNT_STEPS:
             raise _over_limit()
-    row = [_count_odd(alphas, 2 * n + sum(alphas)) for n in samples]
+    row = [_peel(alphas, n) for n in samples]
     heads = []
     while row:
         heads.append(row[0])
@@ -215,18 +213,12 @@ def _differences(alphas: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(heads)
 
 
-def _count_odd(alphas: tuple[int, ...], remaining: int) -> int:
+def _peel(alphas: tuple[int, ...], n: int) -> int:
     # alphas is sorted ascending, at least three; the largest weight is peeled
     # first, so the loop runs the fewest times and ends on the pair counter.
     rest, last = alphas[:-1], alphas[-1]
-    count_rest = _counter(rest) if len(rest) == 2 else partial(_count_odd, rest)
-    rest_floor = sum(rest)  # every remaining d_j is at least 1
-    total = 0
-    remaining -= last
-    while remaining >= rest_floor:
-        total += count_rest(remaining)
-        remaining -= 2 * last
-    return total
+    count_rest = _counter(rest) if len(rest) == 2 else partial(_peel, rest)
+    return sum(map(count_rest, range(n, -1, -last)))
 
 
 def pbar(comp: Codim2Component, k_doubled: int) -> int:
@@ -251,37 +243,39 @@ def pbar(comp: Codim2Component, k_doubled: int) -> int:
 def multiplicity(data: FixedPointData, beta: int) -> int:
     """Weight multiplicity by counting, one weight at a time.
 
-    Takes any valid data and counts its polarization.  Isolated points
-    contribute signed partition counts.  A codimension-2 component
-    contributes sign * pbar at k = (mu/2 - beta)/alpha when that k is a
-    positive half-integer, and nothing otherwise.  All contributions are
-    accumulated doubled; an odd total means the halves failed to cancel and
-    the data is not consistent.  Realizability is not checked: on data that
-    is no closed manifold's, this still returns a count, where
-    character_rational raises NotDivisibleError.
+    Takes any valid data and counts its polarization at the depth
+    n = top - beta below each component's top weight.  An isolated point,
+    top (mu - sum alpha)/2, contributes sign times its partition count at n.
+    A codimension-2 component, top (mu - alpha)/2, contributes sign * pbar/2
+    at k = j + 1/2 when n = j*alpha with j >= 0.  An odd total of the doubled
+    contributions means the halves failed to cancel and the data is not
+    consistent.  Realizability is not checked: on data that is no closed
+    manifold's, this still returns a count, where character_rational raises
+    NotDivisibleError.
 
-    The polarized data, with its isolated points grouped by sorted weights
-    and one counter per group, is built once per dataset and kept in a
-    bounded cache keyed on the (frozen, hashable) data, whose hash is
-    computed once per instance, so a sweep of weights validates and sorts
-    once.  Each point then costs one count, as in partition_count: O(1) for
-    m <= 2, and for m >= 3 past m*lcm(weights) once the residue's samples
-    are cached; past the counting limit it raises InvalidDataError.  Invalid
-    data raises InvalidDataError on every call, since a raise is never
-    cached.
+    The polarized data, with every component's top and one counter per
+    group of isolated points with the same sorted weights, is built once
+    per dataset and kept in a bounded cache keyed on the (frozen, hashable)
+    data, whose hash is computed once per instance, so a sweep of weights
+    validates and sorts once.  Each point then costs one count at its depth,
+    as in partition_count, and past the counting limit raises
+    InvalidDataError.  Invalid data raises InvalidDataError on every call,
+    since a raise is never cached.
     """
-    doubled = 0
+    total = 0
     try:
         groups, codim2 = _counting_plan(data)
         for count, points in groups:
-            for det_weight, sign in points:
-                doubled += 2 * sign * count(det_weight - 2 * beta)
+            for top, sign in points:
+                if top >= beta:
+                    total += sign * count(top - beta)
     except RecursionError:
         raise _too_deep(data.half_dimension) from None
-    for comp in codim2:
-        k_doubled, leftover = divmod(comp.det_weight - 2 * beta, comp.normal_weight)
-        if leftover == 0 and k_doubled > 0 and k_doubled % 2 == 1:
-            doubled += comp.sign * pbar(comp, k_doubled)
+    doubled = 2 * total
+    for top, comp in codim2:
+        j, leftover = divmod(top - beta, comp.normal_weight)
+        if leftover == 0 and j >= 0:
+            doubled += comp.sign * pbar(comp, 2 * j + 1)
     if doubled % 2:
         raise NonIntegerMultiplicityError(
             f"half multiplicity at weight {beta}: doubled total {doubled} is odd"
@@ -289,20 +283,24 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
     return doubled // 2
 
 
-# A counter and the (det_weight, sign) of every isolated point it counts.
-_Group = tuple[Callable[[int], int], tuple[tuple[int, int], ...]]
+# Per sorted weight tuple, a counter and the (top, sign) of every isolated
+# point it counts; then (top, component) for every codimension-2 component.
+_Plan = tuple[
+    tuple[tuple[Callable[[int], int], tuple[tuple[int, int], ...]], ...],
+    tuple[tuple[int, Codim2Component], ...],
+]
 
 
 @lru_cache(maxsize=32)
-def _counting_plan(data: FixedPointData) -> tuple[tuple[_Group, ...], tuple[Codim2Component, ...]]:
-    # ((counter, ((det_weight, sign), ...)) per sorted weight tuple, codim2),
-    # all polarized; polarize validates, and a raise is never cached.
+def _counting_plan(data: FixedPointData) -> _Plan:
+    # All polarized; polarize validates, and a raise is never cached.
     data = polarize(data)
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for point in data.isolated:
-        groups.setdefault(tuple(sorted(point.weights)), []).append((point.det_weight, point.sign))
+        top = (point.det_weight - sum(point.weights)) // 2
+        groups.setdefault(tuple(sorted(point.weights)), []).append((top, point.sign))
     plan = tuple((_counter(alphas), tuple(points)) for alphas, points in groups.items())
-    return plan, data.codim2
+    return plan, tuple(((c.det_weight - c.normal_weight) // 2, c) for c in data.codim2)
 
 
 def component_term(

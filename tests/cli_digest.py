@@ -16,19 +16,21 @@ realizable datasets (seed 7), CP^1..CP^4, and one m = 1 file of 21 points
 with weights 1, 2, 4, ..., which passes the product limit.  On each:
 `quantize` with --character, --diagram and --beta at each of BETAS, each
 with and without --paper-signs, then `cut` and `check-additivity` with and
-without --paper-signs; plus `sphere --cut --diagram` over the grid.  Two
-more m = 3 points, with weights (97, 101, 103) and (1000003, 1000033,
-1000037), get only `quantize --beta` at each of BETAS, with and without
---paper-signs: the second's counter checks every query against the
-counting limit.  The datasets come from generators.py next to this file, so
-both checkouts are run on the same inputs.  BETAS reach -400 so that
-counting at m >= 3 passes the threshold m*lcm(weights) above which it
-interpolates the quasi-polynomial instead of peeling.  The file is not a
-test module; pytest does not collect it.
+without --paper-signs; plus `sphere --cut --diagram` over the grid.  Four
+more points get only `quantize --beta` at each of BETAS, with and without
+--paper-signs: m = 3 with weights (97, 101, 103) and (1000003, 1000033,
+1000037), whose counter checks every query against the counting limit, and
+m = 5 with weights (2, 3, 5, 7, 11), which peels three levels deep below
+m*lcm(weights) and counts its steps in the general loop, and (1, 1, 2, 3,
+5), which interpolates above it.  The datasets come from generators.py next
+to this file, so both checkouts are run on the same inputs.  BETAS reach
+-400 so that counting at m >= 3 passes the threshold m*lcm(weights) above
+which it interpolates the quasi-polynomial instead of peeling.  The file is
+not a test module; pytest does not collect it.
 
 With these points, a checkout and its parent both printed
 
-    4079 calls; exit codes 0: 3610, 1: 6, 2: 463; sha1 bf2d5e8473290ffcf65481812c786cdc534c22ac
+    4099 calls; exit codes 0: 3630, 1: 6, 2: 463; sha1 2c40462b5811f87ea6b4e1c11613b1270fd739b7
 """
 
 from __future__ import annotations
@@ -82,9 +84,14 @@ def beta_only():
     """Datasets queried only with --beta: their characters are too wide."""
     from spincut import fixed_points
 
-    for weights in ((97, 101, 103), (1000003, 1000033, 1000037)):
-        point = fixed_points.IsolatedFixedPoint(weights, sum(weights) + 2000, 1)
-        yield fixed_points.FixedPointData(3, (point,))
+    for weights, above in (
+        ((97, 101, 103), 2000),
+        ((1000003, 1000033, 1000037), 2000),
+        ((2, 3, 5, 7, 11), 200),
+        ((1, 1, 2, 3, 5), 0),
+    ):
+        point = fixed_points.IsolatedFixedPoint(weights, sum(weights) + above, 1)
+        yield fixed_points.FixedPointData(len(weights), (point,))
 
 
 def main() -> None:

@@ -29,7 +29,7 @@ from spincut.fixed_points import (
     IsolatedFixedPoint,
     polarize,
 )
-from spincut.kostant import character_rational, multiplicity, partition_count
+from spincut.kostant import character_rational, character_series, multiplicity, partition_count
 
 from .generators import mixed_sign_variant, projective_space, realizable_dataset
 
@@ -174,6 +174,24 @@ def test_mixed_sign_variant_gives_its_polarizations_answers():
         assert [multiplicity(variant, b) for b in betas] == [
             multiplicity(data, b) for b in betas
         ]
+
+
+def test_codim2_components_match_the_series_far_below_their_top():
+    # Only the codim-2 components, so the series oracle is linear in the
+    # depth: each contributes at n = top - beta = j*alpha, j up to ~10^4.
+    rng = random.Random(59)
+    flipped = set()
+    for _ in range(40):
+        variant = mixed_sign_variant(rng, realizable_dataset(rng))
+        if not variant.codim2:
+            continue
+        data = FixedPointData(variant.half_dimension, (), variant.codim2)
+        flipped |= {c.dim for c in data.codim2 if c.normal_weight < 0}
+        window = (-10**4, max(abs(c.det_weight) for c in data.codim2) // 2)
+        series = character_series(data, window)
+        for beta in range(window[0], window[1] + 1):
+            assert multiplicity(data, beta) == series.get(beta, 0), (data, beta)
+    assert flipped == {0, 2}
 
 
 def test_every_counting_cache_is_bounded():

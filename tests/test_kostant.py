@@ -73,7 +73,7 @@ def test_partition_count_matches_naive_enumeration(alphas, target_doubled):
     )
 
 
-def _count_odd_enumerated(alphas, remaining):
+def _odd_partitions_enumerated(alphas, remaining):
     # Reference: nested enumeration, one level per weight; d_1 runs over the
     # odd values that leave room for every later d_j >= 1.
     first = alphas[0]
@@ -86,7 +86,7 @@ def _count_odd_enumerated(alphas, remaining):
     total = 0
     d = 1
     while d * first + rest_floor <= remaining:
-        total += _count_odd_enumerated(alphas[1:], remaining - d * first)
+        total += _odd_partitions_enumerated(alphas[1:], remaining - d * first)
         d += 2
     return total
 
@@ -110,7 +110,7 @@ def test_partition_count_matches_enumeration():
         cases.append((weights, rng.randint(-60, 140)))
     assert any(math.gcd(*w) > 1 for w, _ in cases if len(w) == 2)
     for weights, remaining in cases:
-        expected = _count_odd_enumerated(weights, remaining)
+        expected = _odd_partitions_enumerated(weights, remaining)
         assert partition_count(weights, -remaining) == expected, (weights, remaining)
 
 
