@@ -11,12 +11,12 @@ is carried over unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .fixed_points import (
     Codim2Component,
     FixedPointData,
+    Frozen,
     InvalidDataError,
     require_valid,
 )
@@ -24,8 +24,7 @@ from .kostant import character_rational
 from .laurent import LaurentPoly, NotDivisibleError
 
 
-@dataclass(frozen=True)
-class ReducedComponent:
+class ReducedComponent(NamedTuple):
     """One component of the cut locus quotient, as both cut spaces see it.
 
     dim-2 components carry the two integrals that determine their data:
@@ -39,20 +38,18 @@ class ReducedComponent:
     chern_nminus: int | None = None
 
 
-@dataclass(frozen=True)
-class CutSpecification:
+class CutSpecification(Frozen):
     """Side assignment per component index plus the reduced components.
 
-    Assignments are stored sorted by index.  A repeated index is refused at
-    construction, so a specification is a function from index to side.
+    Assignments, pairs or a mapping, are stored sorted by index.  A repeated
+    index is refused at construction, so a specification is a function from
+    index to side.
     """
 
-    assignments: tuple[tuple[int, str], ...]
-    reduced: tuple[ReducedComponent, ...] = ()
+    __slots__ = _fields = ("assignments", "reduced")
 
-    def __post_init__(self) -> None:
-        raw = self.assignments
-        pairs = raw.items() if isinstance(raw, Mapping) else raw
+    def __init__(self, assignments: Mapping | Iterable, reduced: Iterable = ()) -> None:
+        pairs = assignments.items() if isinstance(assignments, Mapping) else assignments
         pairs = sorted(((int(k), v) for k, v in pairs), key=lambda pair: pair[0])
         for (index, _), (following, _) in zip(pairs, pairs[1:]):
             if index == following:
@@ -60,19 +57,17 @@ class CutSpecification:
                     f"assignments.{index}: component {index} is assigned twice"
                 )
         object.__setattr__(self, "assignments", tuple(pairs))
-        object.__setattr__(self, "reduced", tuple(self.reduced))
+        object.__setattr__(self, "reduced", tuple(reduced))
 
 
-@dataclass(frozen=True)
-class AdditivityRow:
+class AdditivityRow(NamedTuple):
     weight: int
     original: int
     plus: int
     minus: int
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
+class AdditivityReport(NamedTuple):
     """Per-weight comparison of the original character with plus + minus."""
 
     holds: bool
@@ -150,13 +145,6 @@ def check_additivity(
     weights = sorted(
         set(original.support()) | set(plus_char.support()) | set(minus_char.support())
     )
-    rows = tuple(
-        AdditivityRow(
-            weight=w,
-            original=original.multiplicity(w),
-            plus=plus_char.multiplicity(w),
-            minus=minus_char.multiplicity(w),
-        )
-        for w in weights
-    )
+    chars = (original, plus_char, minus_char)
+    rows = tuple(AdditivityRow(w, *(c.multiplicity(w) for c in chars)) for w in weights)
     return AdditivityReport(holds=original == combined, rows=rows)

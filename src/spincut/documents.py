@@ -132,7 +132,7 @@ def _require_list(obj: dict, path: str, key: str) -> list:
 
 
 # The one home of each record's JSON keys: in the order of the record's
-# dataclass fields, which is also the canonical order on write, each marked
+# named-tuple fields, which is also the canonical order on write, each marked
 # required (True) or optional (False).  An optional key reads as None when
 # absent and is left out on write when None.  "weights" is the one key whose
 # value is a list of integers; every other value is one integer.
@@ -177,8 +177,8 @@ def _records(doc: dict, path: str, key: str, kind: type) -> tuple:
 
 
 def _entry(record: Any) -> dict[str, Any]:
-    # A dataclass instance's __dict__ holds its fields in declaration order.
-    pairs = zip(_KEYS[type(record)].items(), vars(record).values())
+    # A record is a named tuple: its values come in _KEYS order.
+    pairs = zip(_KEYS[type(record)].items(), record)
     return {name: value for (name, required), value in pairs if required or value is not None}
 
 

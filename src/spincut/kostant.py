@@ -272,10 +272,10 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
     except RecursionError:
         raise _too_deep(data.half_dimension) from None
     doubled = 2 * total
-    for top, comp in codim2:
-        j, leftover = divmod(top - beta, comp.normal_weight)
+    for top, alpha, first, step in codim2:
+        j, leftover = divmod(top - beta, alpha)
         if leftover == 0 and j >= 0:
-            doubled += comp.sign * pbar(comp, 2 * j + 1)
+            doubled += first + j * step
     if doubled % 2:
         raise NonIntegerMultiplicityError(
             f"half multiplicity at weight {beta}: doubled total {doubled} is odd"
@@ -284,10 +284,11 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
 
 
 # Per sorted weight tuple, a counter and the (top, sign) of every isolated
-# point it counts; then (top, component) for every codimension-2 component.
+# point it counts; then (top, alpha, first, step) for every codimension-2
+# component, whose signed pbar at k = j + 1/2 is first + j * step.
 _Plan = tuple[
     tuple[tuple[Callable[[int], int], tuple[tuple[int, int], ...]], ...],
-    tuple[tuple[int, Codim2Component], ...],
+    tuple[tuple[int, int, int, int], ...],
 ]
 
 
@@ -300,7 +301,11 @@ def _counting_plan(data: FixedPointData) -> _Plan:
         top = (point.det_weight - sum(point.weights)) // 2
         groups.setdefault(tuple(sorted(point.weights)), []).append((top, point.sign))
     plan = tuple((_counter(alphas), tuple(points)) for alphas, points in groups.items())
-    return plan, tuple(((c.det_weight - c.normal_weight) // 2, c) for c in data.codim2)
+    codim2 = []
+    for c in data.codim2:  # pbar is linear in k
+        first, top = c.sign * pbar(c, 1), (c.det_weight - c.normal_weight) // 2
+        codim2.append((top, c.normal_weight, first, c.sign * pbar(c, 3) - first))
+    return plan, tuple(codim2)
 
 
 def component_term(

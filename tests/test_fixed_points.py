@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import random
-from dataclasses import replace
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from spincut.cutting import AdditivityReport, AdditivityRow, CutSpecification, ReducedComponent
 from spincut.fixed_points import (
     Codim2Component,
     FixedPointData,
     InvalidDataError,
     IsolatedFixedPoint,
+    Violation,
     flip_codim2_signs,
     is_polarized,
     polarize,
@@ -210,7 +217,7 @@ def test_flip_codim2_signs_is_an_involution_on_signs_only():
         flipped = flip_codim2_signs(data)
         assert flip_codim2_signs(flipped) == data
         assert (flipped.half_dimension, flipped.isolated) == (data.half_dimension, data.isolated)
-        assert flipped.codim2 == tuple(replace(c, sign=-c.sign) for c in data.codim2)
+        assert flipped.codim2 == tuple(c._replace(sign=-c.sign) for c in data.codim2)
         assert validate(flipped) == []
 
 
@@ -228,7 +235,69 @@ def test_components_ordering():
     assert data.components() == (iso, comp)
 
 
-def test_dataclasses_are_frozen():
-    iso = IsolatedFixedPoint(weights=(1,), det_weight=1, sign=1)
-    with pytest.raises(AttributeError):
-        iso.sign = -1
+def _one_record_of_each_type() -> list:
+    row = AdditivityRow(weight=1, original=2, plus=1, minus=1)
+    return [
+        IsolatedFixedPoint((1, 2), 5, -1),
+        Codim2Component(2, 3, 1, 1, chern_l=-2, chern_n=3),
+        FixedPointData(1, (IsolatedFixedPoint((1,), 3, 1),), (Codim2Component(0, 1, 1, -1),)),
+        Violation(None, "half-dimension", "half_dimension must be >= 1, got 0"),
+        ReducedComponent(2, chern_lred=1, chern_nminus=-1),
+        CutSpecification({1: "minus", 0: "plus"}, (ReducedComponent(0),)),
+        row,
+        AdditivityReport(holds=True, rows=(row,)),
+    ]
+
+
+def test_records_are_frozen_values():
+    records = _one_record_of_each_type()
+    for record in records:
+        kind = type(record)
+        with pytest.raises(AttributeError):
+            setattr(record, kind._fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(record, kind._fields[0])
+        twin = kind(*(getattr(record, name) for name in kind._fields))
+        assert twin == record and hash(twin) == hash(record)
+        clones = (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record))
+        for clone in clones:
+            assert type(clone) is kind and clone == record and hash(clone) == hash(record)
+
+    built = FixedPointData(2, [IsolatedFixedPoint([1, 2], 5, 1)], [])
+    expected = FixedPointData(2, (IsolatedFixedPoint((1, 2), 5, 1),), ())
+    assert built == expected and hash(built) == hash(expected)
+    assert built.isolated[0].weights == (1, 2) and built.codim2 == ()
+    assert expected != (2, expected.isolated, ()) and expected != CutSpecification({})
+
+    # The repr a frozen dataclass printed, field by field.
+    data, spec = records[2], records[5]
+    assert repr(data) == (
+        "FixedPointData(half_dimension=1, "
+        "isolated=(IsolatedFixedPoint(weights=(1,), det_weight=3, sign=1),), "
+        "codim2=(Codim2Component(dim=0, normal_weight=1, det_weight=1, sign=-1, "
+        "chern_l=None, chern_n=None),))"
+    )
+    assert repr(spec) == (
+        "CutSpecification(assignments=((0, 'plus'), (1, 'minus')), "
+        "reduced=(ReducedComponent(dim=0, chern_lred=None, chern_nminus=None),))"
+    )
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Together they cost about 14 of the 48 ms of this import.  A fresh process
+    # without site shows what the import itself pulls in, whether or not
+    # bytecode is cached.
+    child = (
+        "import sys\n"
+        "import spincut.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", child],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode() == "[]\n"
