@@ -22,15 +22,18 @@ more points get only `quantize --beta` at each of BETAS, with and without
 1000037), whose counter checks every query against the counting limit, and
 m = 5 with weights (2, 3, 5, 7, 11), which peels three levels deep below
 m*lcm(weights) and counts its steps in the general loop, and (1, 1, 2, 3,
-5), which interpolates above it.  The datasets come from generators.py next
-to this file, so both checkouts are run on the same inputs.  BETAS reach
--400 so that counting at m >= 3 passes the threshold m*lcm(weights) above
-which it interpolates the quasi-polynomial instead of peeling.  The file is
-not a test module; pytest does not collect it.
+5), which interpolates above it.  Two more points get one `quantize --beta`
+each, with and without --paper-signs, that the counting route refuses with
+exit 1: (1000003, 1000033, 1000037) at the depth 10^16, past the counting
+limit, and 1500 weights of 1, past the peel's recursion.  The datasets come
+from generators.py next to this file, so both checkouts are run on the same
+inputs.  BETAS reach -400 so that counting at m >= 3 passes the threshold
+m*lcm(weights) above which it interpolates the quasi-polynomial instead of
+peeling.  The file is not a test module; pytest does not collect it.
 
 With these points, a checkout and its parent both printed
 
-    4099 calls; exit codes 0: 3630, 1: 6, 2: 463; sha1 2c40462b5811f87ea6b4e1c11613b1270fd739b7
+    4103 calls; exit codes 0: 3630, 1: 10, 2: 463; sha1 ab67a23572c22e7bd21502bb5da28376e8562205
 """
 
 from __future__ import annotations
@@ -81,17 +84,20 @@ def corpus():
 
 
 def beta_only():
-    """Datasets queried only with --beta: their characters are too wide."""
+    """(dataset, betas) pairs queried only with --beta: their characters are
+    too wide."""
     from spincut import fixed_points
 
-    for weights, above in (
-        ((97, 101, 103), 2000),
-        ((1000003, 1000033, 1000037), 2000),
-        ((2, 3, 5, 7, 11), 200),
-        ((1, 1, 2, 3, 5), 0),
+    for weights, above, betas in (
+        ((97, 101, 103), 2000, BETAS),
+        ((1000003, 1000033, 1000037), 2000, BETAS),
+        ((2, 3, 5, 7, 11), 200, BETAS),
+        ((1, 1, 2, 3, 5), 0, BETAS),
+        ((1000003, 1000033, 1000037), 0, (-(10**16),)),
+        ((1,) * 1500, 2, (0,)),
     ):
         point = fixed_points.IsolatedFixedPoint(weights, sum(weights) + above, 1)
-        yield fixed_points.FixedPointData(len(weights), (point,))
+        yield fixed_points.FixedPointData(len(weights), (point,)), betas
 
 
 def main() -> None:
@@ -134,11 +140,11 @@ def main() -> None:
             for half in halves:
                 digest.update(half.read_bytes() if half.exists() else b"(not written)")
                 half.unlink(missing_ok=True)
-        for index, data in enumerate(beta_only()):
+        for index, (data, betas) in enumerate(beta_only()):
             path = Path(tmp, f"beta{index}.json")
             path.write_text(documents.serialize_dataset(data), encoding="utf-8")
             for signs in ((), ("--paper-signs",)):
-                for beta in BETAS:
+                for beta in betas:
                     call("quantize", str(path), "--beta", str(beta), *signs)
         for k in range(-4, 5):
             for n in range(-4, 5):

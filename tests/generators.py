@@ -21,6 +21,9 @@ that needs neither engine; they give realizable data at any m and with large
 weights.  Products CP^a x CP^b give mixed-weight data at m = a + b, with the
 convolution of the two Bott characters as their oracle.
 
+count reads one coin-exchange count through multiplicity, the counting
+route's only entry.
+
 Cut cases are assembled sideways: each side is an independently realizable
 set forced to contain the component its reduced cut component induces
 (normal weight 1, determinant weight 1, sign -1 on plus and +1 on minus);
@@ -45,6 +48,7 @@ from spincut.fixed_points import (
     IsolatedFixedPoint,
     is_polarized,
 )
+from spincut.kostant import multiplicity
 
 MU_BOUND = 9
 CHERN_BOUND = 3
@@ -185,6 +189,16 @@ def projective_space_character(weights: Sequence[int], k: int) -> dict[int, int]
     total = sum(weights)
     dual = itertools.combinations_with_replacement(weights, -k - m - 1)
     return {w: (-1) ** m * n for w, n in Counter(-total - sum(c) for c in dual).items()}
+
+
+def count(weights: Sequence[int], n: int) -> int:
+    """The number of nonnegative e_j with sum e_j*weights[j] = n, 0 for n < 0.
+
+    multiplicity on one isolated point with det_weight sum(weights), so its
+    top weight is 0, at beta = -n: the depth below the top is n.
+    """
+    point = IsolatedFixedPoint(tuple(weights), sum(weights), 1)
+    return multiplicity(FixedPointData(len(weights), (point,)), -n)
 
 
 def _flip_point(rng: random.Random, point: IsolatedFixedPoint) -> IsolatedFixedPoint:

@@ -29,9 +29,9 @@ from spincut.fixed_points import (
     IsolatedFixedPoint,
     polarize,
 )
-from spincut.kostant import character_rational, character_series, multiplicity, partition_count
+from spincut.kostant import character_rational, character_series, multiplicity
 
-from .generators import mixed_sign_variant, projective_space, realizable_dataset
+from .generators import count, mixed_sign_variant, projective_space, realizable_dataset
 
 LIMIT = 3000
 
@@ -72,11 +72,11 @@ def odd_partition_table(weights: tuple[int, ...], limit: int) -> list[int]:
 
 
 def _threshold(weights: tuple[int, ...]) -> int:
-    # The smallest n = (t - sum weights)/2 that interpolates.
+    # The smallest depth n that interpolates; the table's index is 2n + sum.
     return len(weights) * lcm(*weights)
 
 
-def test_partition_count_matches_coin_change_table():
+def test_count_matches_coin_change_table():
     rng = random.Random(41)
     tuples = list(WEIGHTS)
     for _ in range(12):  # five random weights can peel for seconds below m*lcm
@@ -86,14 +86,12 @@ def test_partition_count_matches_coin_change_table():
     interpolated = 0
     for weights in tuples:
         table = odd_partition_table(weights, LIMIT)
-        targets = set(range(-3, 200)) | {rng.randint(0, LIMIT) for _ in range(60)}
-        for t in sorted(targets):
-            expected = table[t] if t >= 0 else 0
-            assert partition_count(rng.sample(weights, len(weights)), -t) == expected, (
-                weights,
-                t,
-            )
-            interpolated += t >= sum(weights) + 2 * _threshold(weights)
+        top = (LIMIT - sum(weights)) // 2
+        depths = set(range(-2, 100)) | {rng.randint(0, top) for _ in range(60)}
+        for n in sorted(depths):
+            expected = table[2 * n + sum(weights)] if n >= 0 else 0
+            assert count(rng.sample(weights, len(weights)), n) == expected, (weights, n)
+            interpolated += n >= _threshold(weights)
     assert interpolated > 500
 
 
@@ -103,18 +101,19 @@ def test_threshold_peels_below_and_interpolates_from_m_times_the_period(weights)
     for n, interpolates in ((_threshold(weights) - 1, False), (_threshold(weights), True)):
         t = 2 * n + sum(weights)
         kostant._differences.cache_clear()
-        assert partition_count(weights, -t) == table[t]
+        assert count(weights, n) == table[t]
         assert kostant._differences.cache_info().misses == int(interpolates), n
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(1, 15), min_size=3, max_size=5),
-    st.integers(-10, 2000),
+    st.integers(-5, 1000),
 )
-def test_partition_count_matches_coin_change_table_property(weights, target):
-    expected = odd_partition_table(tuple(weights), max(target, 0))[target] if target >= 0 else 0
-    assert partition_count(weights, -target) == expected
+def test_count_matches_coin_change_table_property(weights, n):
+    t = 2 * n + sum(weights)
+    expected = odd_partition_table(tuple(weights), t)[t] if n >= 0 else 0
+    assert count(weights, n) == expected
 
 
 def test_multiplicity_matches_coin_change_tables_far_below_the_support():
@@ -256,18 +255,19 @@ def test_a_pickled_dataset_hashes_like_one_built_in_a_fresh_process():
     assert copy.deepcopy(data) == data and hash(copy.copy(data)) == hash(data)
 
 
-def test_peel_steps_are_the_peels_loop_iterations():
+def _iterations(peeled, n):
     # The peel runs one iteration per multiple e_j of each weight but the two
     # smallest, largest first, while sum e_j*a_j <= n for the weights so far.
-    def iterations(peeled, n):
-        *rest, last = peeled
-        return sum(1 + (iterations(rest, n - e * last) if rest else 0) for e in range(n // last + 1))
+    *rest, last = peeled
+    return sum(1 + (_iterations(rest, n - e * last) if rest else 0) for e in range(n // last + 1))
 
+
+def test_peel_steps_are_the_peels_loop_iterations():
     rng = random.Random(53)
     for _ in range(300):
         weights = tuple(sorted(rng.randint(1, 40) for _ in range(rng.randint(3, 7))))
         n = rng.randint(0, 200)
-        exact = iterations(weights[2:], n)
+        exact = _iterations(weights[2:], n)
         assert kostant._peel_steps(weights[2:], n, 10**9) == exact, (weights, n)
         # Under a smaller budget the sum stops early, but only past it.
         budget = rng.randint(1, exact)
@@ -301,17 +301,24 @@ def test_a_count_past_the_counting_limit_raises_on_every_call(counting_limit):
     counting_limit(100)
     expected = "a count needs more than 100 steps, the counting limit"
     for n in (13 * 99, 13 * 99 + 12):
-        assert partition_count(weights, -(2 * n + 31)) == table[2 * n + 31]
+        assert count(weights, n) == table[2 * n + 31]
     for n in (13 * 100, 2500, 3003):
         for _ in range(2):
             with pytest.raises(InvalidDataError, match=expected):
-                partition_count(weights, -(2 * n + 31))
-    data = FixedPointData(3, (IsolatedFixedPoint(weights, 31, 1),))
-    with pytest.raises(InvalidDataError, match=expected):
-        multiplicity(data, -1300)
+                count(weights, n)
     counting_limit(1000)
     for n in (1300, 2500, 3003, 3200):
-        assert partition_count(weights, -(2 * n + 31)) == table[2 * n + 31]
+        assert count(weights, n) == table[2 * n + 31]
+    # (2, 3, 5, 7): at m = 4 a peel's steps end in a floor sum.  The threshold
+    # is 840, so the first depth whose peel passes 60 steps is a near one.
+    weights = (2, 3, 5, 7)
+    first = next(n for n in range(840) if _iterations(weights[2:], n) > 60)
+    assert first == 55
+    counting_limit(60)
+    assert count(weights, first - 1) == odd_partition_table(weights, 125)[125] == 193
+    for _ in range(2):
+        with pytest.raises(InvalidDataError, match="a count needs more than 60 steps"):
+            count(weights, first)
 
 
 def test_counting_past_the_recursion_limit_raises_on_every_call():
@@ -321,5 +328,3 @@ def test_counting_past_the_recursion_limit_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(InvalidDataError, match=expected):
             multiplicity(data, 0)
-    with pytest.raises(InvalidDataError, match=expected):
-        partition_count((1,) * 1500, -1502)

@@ -22,13 +22,13 @@ from spincut.kostant import (
     character_series,
     component_term,
     multiplicity,
-    partition_count,
     pbar,
 )
 from spincut.laurent import LaurentPoly, NotDivisibleError
 from spincut.sphere import sphere_data
 
 from .generators import (
+    count,
     mixed_sign_variant,
     product,
     projective_space,
@@ -38,39 +38,29 @@ from .generators import (
 )
 
 
-def test_partition_count_examples():
-    assert partition_count((1, 1), -6) == 3
-    assert partition_count((1, 2), -5) == 1
-    assert partition_count((1,), 1) == 0
+def test_count_examples():
+    assert count((1, 1), 2) == 3
+    assert count((1, 2), 1) == 1
+    assert count((1,), -1) == 0
 
 
-def test_partition_count_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        partition_count((), -4)
-    with pytest.raises(ValueError):
-        partition_count((1, -2), -4)
-
-
-def _partition_count_naive(alphas, target_doubled):
-    total = -target_doubled
-    if total <= 0:
+def _odd_partitions_naive(alphas, remaining):
+    if remaining <= 0:
         return 0
-    ranges = [range(1, total // a + 1, 2) for a in alphas]
+    ranges = [range(1, remaining // a + 1, 2) for a in alphas]
     return sum(
         1
         for combo in itertools.product(*ranges)
-        if sum(d * a for d, a in zip(combo, alphas)) == total
+        if sum(d * a for d, a in zip(combo, alphas)) == remaining
     )
 
 
 @given(
     st.lists(st.integers(1, 4), min_size=1, max_size=3),
-    st.integers(-30, 5),
+    st.integers(-8, 15),
 )
-def test_partition_count_matches_naive_enumeration(alphas, target_doubled):
-    assert partition_count(alphas, target_doubled) == _partition_count_naive(
-        alphas, target_doubled
-    )
+def test_count_matches_naive_enumeration(alphas, n):
+    assert count(alphas, n) == _odd_partitions_naive(alphas, 2 * n + sum(alphas))
 
 
 def _odd_partitions_enumerated(alphas, remaining):
@@ -91,7 +81,7 @@ def _odd_partitions_enumerated(alphas, remaining):
     return total
 
 
-def test_partition_count_matches_enumeration():
+def test_count_matches_enumeration():
     rng = random.Random(29)
     cases = []
     for m in range(1, 5):
@@ -100,35 +90,32 @@ def test_partition_count_matches_enumeration():
             tuples = rng.sample(tuples, 120)
         for weights in tuples:
             weights = rng.sample(weights, m)  # any order, equal weights included
-            floor = sum(weights)  # the smallest reachable sum
-            remainings = {-7, 0, 1, floor - 2, floor - 1, floor, floor + 1}
-            remainings |= {floor + 2 * max(weights), rng.randint(-60, 140)}
-            cases.extend((tuple(weights), r) for r in remainings)
+            depths = {-4, -1, 0, 1, max(weights), rng.randint(-30, 70)}
+            cases.extend((tuple(weights), n) for n in depths)
     for _ in range(2000):
         m = rng.randint(1, 4)
         weights = tuple(rng.randint(1, 9) for _ in range(m))
-        cases.append((weights, rng.randint(-60, 140)))
+        cases.append((weights, rng.randint(-30, 70)))
     assert any(math.gcd(*w) > 1 for w, _ in cases if len(w) == 2)
-    for weights, remaining in cases:
-        expected = _odd_partitions_enumerated(weights, remaining)
-        assert partition_count(weights, -remaining) == expected, (weights, remaining)
+    for weights, n in cases:
+        expected = _odd_partitions_enumerated(weights, 2 * n + sum(weights))
+        assert count(weights, n) == expected, (weights, n)
 
 
-def test_partition_count_at_huge_targets():
+def test_count_at_huge_depths():
     big = 10**8
-    # m = 1: a single odd multiple, or none.
-    assert partition_count((3,), -3 * (2 * big + 1)) == 1
-    assert partition_count((3,), -3 * 2 * big) == 0
-    # d_1 + d_2 = 2*big + 2 with both odd: d_1 = 1, 3, ..., 2*big + 1.
-    assert partition_count((1, 1), -2 * big - 2) == big + 1
-    assert partition_count((1, 1), -2 * big - 1) == 0
-    # 6*d_1 + 2*d_2 = 2*big: d_2 = big - 3*d_1, odd d_1 <= 33333333.
-    assert partition_count((6, 2), -2 * big) == 16666667
-    # 2*d_1 + 4*d_2 = 2*big + 4 leaves d_1 even.
-    assert partition_count((2, 4), -2 * big - 4) == 0
-    # 5*d_1 + 3*d_2 = 8 + 30*t: d_1 = 1 + 6*j, d_2 = 1 + 10*(t - j) for j = 0..t.
+    # m = 1: a multiple of the weight, or not.
+    assert count((3,), 3 * big) == 1
+    assert count((3,), 3 * big + 1) == 0
+    # e_1 + e_2 = big: e_1 = 0, 1, ..., big.
+    assert count((1, 1), big) == big + 1
+    # 6*e_1 + 2*e_2 = big - 4: e_2 = (big - 4)/2 - 3*e_1, e_1 <= 16666666.
+    assert count((6, 2), big - 4) == 16666667
+    # 2*e_1 + 4*e_2 is even, and big - 1 is odd.
+    assert count((2, 4), big - 1) == 0
+    # 5*e_1 + 3*e_2 = 15*t: e_1 = 3*j, e_2 = 5*(t - j) for j = 0..t.
     t = big // 30
-    assert partition_count((5, 3), -8 - 30 * t) == t + 1
+    assert count((5, 3), 15 * t) == t + 1
 
 
 def test_multiplicity_isolated_examples():
