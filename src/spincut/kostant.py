@@ -16,10 +16,14 @@ functools.lru_cache caches, and fixed_points.polarize keeps its own, so a
 sweep of weights over one dataset, polarized by the caller or not, validates
 it once.  The rational route assembles every component's closed form over a
 common denominator, divides exactly, and reads off the whole character at
-once.  A truncated geometric series gives a third, deliberately brute-force
-oracle.  The counting route and the oracle expand every weight in its positive
-direction, so each takes any valid data and works on its polarization
-(fixed_points.polarize); the rational route needs none.
+once.  Each closed form's denominator is a product of binomials
+1 - lambda^-a (times 2 for a surface), and the running numerator and
+denominator are multiplied by one binomial at a time, so a component with m
+weights costs O(m * |den|).  A truncated geometric series gives a third,
+deliberately brute-force oracle.  The counting route and the oracle expand
+every weight in its positive direction, so each takes any valid data and
+works on its polarization (fixed_points.polarize); the rational route needs
+none.
 
 Conventions.  The rational route works in the circle variable lambda of the
 laurent module: a character is its Laurent polynomial, the weight beta sits
@@ -285,52 +289,60 @@ def _counting_plan(data: FixedPointData) -> _Plan:
 
 def component_term(
     comp: IsolatedFixedPoint | Codim2Component,
-) -> tuple[LaurentPoly, LaurentPoly]:
+) -> tuple[LaurentPoly, tuple[int, ...], int]:
     """Closed-form rational contribution of a single component, in lambda.
 
-    Returned as a (numerator, denominator) pair of Laurent polynomials in the
-    form written here, not reduced.  Isolated point: sign *
-    lambda^((mu-sum alpha_j)/2) / prod_j (1 - lambda^-alpha_j).  Point
-    component: sign * lambda^((mu-alpha)/2) / (1 - lambda^-alpha).  Surface
-    component, with x = lambda^-alpha:
+    Returned factored as (numerator, binomial weights, constant): the
+    contribution is numerator / (constant * prod_a (1 - lambda^-a)) over the
+    binomial weights a, not reduced.  Isolated point: sign *
+    lambda^((mu-sum alpha_j)/2) over the binomials of its weights alpha_j.
+    Point component: sign * lambda^((mu-alpha)/2) over 1 - lambda^-alpha.
+    Surface component, with x = lambda^-alpha:
     sign * lambda^((mu-alpha)/2) * ((chern_l - 2*chern_n) - chern_l*x) / (2*(1-x)^2),
     which is the geometric-series closed form of the doubled pbar expansion.
     The component must satisfy the parity rule of fixed_points.validate, which
     makes each exponent an integer.  Polarization is not required; flipped
     components produce the identical rational function.
     """
-    one = LaurentPoly.monomial(0)
     if isinstance(comp, IsolatedFixedPoint):
         top = (comp.det_weight - sum(comp.weights)) // 2
-        denominator = one
-        for alpha in comp.weights:
-            denominator = denominator * (one - LaurentPoly.monomial(-alpha))
-        return LaurentPoly.monomial(top, comp.sign), denominator
+        return LaurentPoly({top: comp.sign}), comp.weights, 1
     alpha = comp.normal_weight
-    base = LaurentPoly.monomial((comp.det_weight - alpha) // 2, comp.sign)
-    one_minus_x = one - LaurentPoly.monomial(-alpha)
+    top = (comp.det_weight - alpha) // 2
     if comp.dim == 0:
-        return base, one_minus_x
-    series = LaurentPoly({0: comp.chern_l - 2 * comp.chern_n, -alpha: -comp.chern_l})
-    return base * series, (one_minus_x * one_minus_x) * LaurentPoly.monomial(0, 2)
+        return LaurentPoly({top: comp.sign}), (alpha,), 1
+    numerator = {
+        top: comp.sign * (comp.chern_l - 2 * comp.chern_n),
+        top - alpha: -comp.sign * comp.chern_l,
+    }
+    return LaurentPoly(numerator), (alpha, alpha), 2
 
 
 def character_rational(data: FixedPointData) -> LaurentPoly:
     """Full character by exact rational algebra in lambda.
 
-    Starting from 0/1, each component's (numerator, denominator) pair is
-    folded in by cross-multiplying, n/d + n'/d' = (n*d' + n'*d)/(d*d'), and
-    the final numerator is divided exactly by the final denominator.  The
-    quotient is the character itself.  The sum of fixed-point contributions
-    of a genuine closed manifold is a Laurent polynomial, so exact division
-    must succeed; NotDivisibleError therefore means the data is not
-    realizable.  Polarization is not required.
+    Starting from 0/1, each component's n / (c * prod_a (1 - lambda^-a)) is
+    folded in by cross-multiplying, num/den + n/d = (num*d + n*den)/(den*d),
+    and the final numerator is divided exactly by the final denominator.  The
+    product with d is taken one binomial at a time (and once by the constant
+    c of a surface), so a component with m binomial weights costs
+    O(m * (len(num) + len(den))) instead of a product with the expanded d.
+    The quotient is the character itself.  The sum of fixed-point
+    contributions of a genuine closed manifold is a Laurent polynomial, so
+    exact division must succeed; NotDivisibleError therefore means the data
+    is not realizable.  Polarization is not required.
     """
     require_valid(data)
-    num, den = LaurentPoly(), LaurentPoly.monomial(0)
+    num, den = LaurentPoly(), LaurentPoly({0: 1})
     for comp in data.components():
-        n, d = component_term(comp)
-        num, den = num * d + n * den, den * d
+        n, weights, constant = component_term(comp)
+        added = n * den
+        for alpha in weights:
+            num, den = num.times_binomial(alpha), den.times_binomial(alpha)
+        if constant != 1:
+            scale = LaurentPoly({0: constant})
+            num, den = scale * num, scale * den
+        num = num + added
     return exact_divide(num, den)
 
 

@@ -22,7 +22,8 @@ weights.  Products CP^a x CP^b give mixed-weight data at m = a + b, with the
 convolution of the two Bott characters as their oracle.
 
 count reads one coin-exchange count through multiplicity, the counting
-route's only entry.
+route's only entry.  closed_form multiplies out the factored closed form
+that component_term returns.
 
 Cut cases are assembled sideways: each side is an independently realizable
 set forced to contain the component its reduced cut component induces
@@ -48,7 +49,8 @@ from spincut.fixed_points import (
     IsolatedFixedPoint,
     is_polarized,
 )
-from spincut.kostant import multiplicity
+from spincut.kostant import component_term, multiplicity
+from spincut.laurent import LaurentPoly
 
 MU_BOUND = 9
 CHERN_BOUND = 3
@@ -199,6 +201,21 @@ def count(weights: Sequence[int], n: int) -> int:
     """
     point = IsolatedFixedPoint(tuple(weights), sum(weights), 1)
     return multiplicity(FixedPointData(len(weights), (point,)), -n)
+
+
+def closed_form(
+    comp: IsolatedFixedPoint | Codim2Component,
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """A component's closed form as (numerator, denominator), multiplied out.
+
+    component_term gives (numerator, binomial weights, constant); the
+    denominator is constant * prod_a (1 - lambda^-a) over the weights.
+    """
+    numerator, weights, constant = component_term(comp)
+    denominator = LaurentPoly({0: constant})
+    for a in weights:
+        denominator = denominator * LaurentPoly({0: 1, -a: -1})
+    return numerator, denominator
 
 
 def _flip_point(rng: random.Random, point: IsolatedFixedPoint) -> IsolatedFixedPoint:

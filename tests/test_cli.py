@@ -19,7 +19,12 @@ from spincut.cutting import (
 )
 from spincut.diagram import render_diagram
 from spincut.documents import parse_dataset, serialize_cut_spec, serialize_dataset
-from spincut.fixed_points import FixedPointData, IsolatedFixedPoint, validate
+from spincut.fixed_points import (
+    Codim2Component,
+    FixedPointData,
+    IsolatedFixedPoint,
+    validate,
+)
 from spincut.kostant import character_rational
 from spincut.laurent import LaurentPoly
 from spincut.sphere import canonical_cut_spec, sphere_data
@@ -592,6 +597,31 @@ def test_product_limit_stops_a_doubling_combine(tmp_path, capsys, monkeypatch):
     error = "error: a product has more than 64 term pairs, the output-support limit\n"
     for argv in (("quantize", path, "--character"), ("check-additivity", path, spec_path)):
         assert run_cli(capsys, *argv) == (1, "", error)
+
+
+def test_product_limit_binds_per_binomial_step(tmp_path, capsys, monkeypatch):
+    # Beyond m = 1 the fold multiplies by one binomial 1 - lambda^-a at a
+    # time (and by 2 for a surface), and each step is held to the limit.
+    # CP^2 needs at most 16 term pairs per step and a surface pair 8;
+    # multiplying by the expanded products (1 - x)(1 - y) and 2(1 - x)^2
+    # instead would need 24 and 9 at the largest step.
+    surfaces = (
+        Codim2Component(2, 2, 6, 1, chern_l=2, chern_n=2),
+        Codim2Component(2, 2, 2, -1, chern_l=-2, chern_n=2),
+    )
+    for name, data, steps, character in (
+        ("cp2.json", projective_space((0, 1, 2), 1), 16, "0: 1\n1: 1\n2: 1\n"),
+        ("surfaces.json", FixedPointData(2, (), surfaces), 8, "2: -1\n"),
+    ):
+        path = write_dataset(tmp_path, data, name)
+        monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", steps)
+        assert run_cli(capsys, "quantize", path) == (0, character, "")
+        monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", steps - 1)
+        error = (
+            f"error: a product has more than {steps - 1} term pairs, "
+            "the output-support limit\n"
+        )
+        assert run_cli(capsys, "quantize", path, "--character") == (1, "", error)
 
 
 def test_cut_writes_canonical_datasets(tmp_path, capsys):

@@ -28,6 +28,7 @@ from spincut.laurent import LaurentPoly, NotDivisibleError
 from spincut.sphere import sphere_data
 
 from .generators import (
+    closed_form,
     count,
     mixed_sign_variant,
     product,
@@ -173,26 +174,31 @@ def test_dim0_component_matches_isolated_point():
         )
         for beta in range(-12, 13):
             assert multiplicity(as_comp, beta) == multiplicity(as_point, beta)
-        n1, d1 = component_term(as_comp.codim2[0])
-        n2, d2 = component_term(as_point.isolated[0])
+        n1, d1 = closed_form(as_comp.codim2[0])
+        n2, d2 = closed_form(as_point.isolated[0])
         assert n1 * d2 == n2 * d1
 
 
 def test_component_term_lambda_forms():
-    # Each closed form in the circle variable lambda, unreduced.
+    # Each closed form in the circle variable lambda, factored as
+    # (numerator, binomial weights, constant) and multiplied out, unreduced.
     point = IsolatedFixedPoint((1,), 1, 1)
-    assert component_term(point) == (LaurentPoly({0: 1}), LaurentPoly({0: 1, -1: -1}))
+    assert component_term(point) == (LaurentPoly({0: 1}), (1,), 1)
+    assert closed_form(point) == (LaurentPoly({0: 1}), LaurentPoly({0: 1, -1: -1}))
     # (3 - (1 - 2)) / 2 = 2; (1 - lambda^-1)(1 - lambda^2)
     point = IsolatedFixedPoint((1, -2), 3, -1)
-    assert component_term(point) == (
+    assert component_term(point) == (LaurentPoly({2: -1}), (1, -2), 1)
+    assert closed_form(point) == (
         LaurentPoly({2: -1}),
         LaurentPoly({1: 1, 0: 1, -1: -1, 2: -1}),
     )
     comp = Codim2Component(dim=0, normal_weight=2, det_weight=4, sign=-1)
-    assert component_term(comp) == (LaurentPoly({1: -1}), LaurentPoly({0: 1, -2: -1}))
+    assert component_term(comp) == (LaurentPoly({1: -1}), (2,), 1)
+    assert closed_form(comp) == (LaurentPoly({1: -1}), LaurentPoly({0: 1, -2: -1}))
     # lambda * ((5 - 2) - 5 lambda^-1) / (2 (1 - lambda^-1)^2)
     comp = Codim2Component(2, 1, 3, 1, chern_l=5, chern_n=1)
-    assert component_term(comp) == (
+    assert component_term(comp) == (LaurentPoly({1: 3, 0: -5}), (1, 1), 2)
+    assert closed_form(comp) == (
         LaurentPoly({1: 3, 0: -5}),
         LaurentPoly({0: 2, -1: -4, -2: 2}),
     )
@@ -227,12 +233,10 @@ def test_character_series_requires_polarization_and_sane_window():
 def test_geometric_simplification_identity():
     # (q^-a - q^a) / ((1 - q^2a)(1 - q^-2a)) equals 1 / (q^a - q^-a)
     for a in range(1, 9):
-        n1 = LaurentPoly.monomial(-a) - LaurentPoly.monomial(a)
-        d1 = (LaurentPoly.monomial(0) - LaurentPoly.monomial(2 * a)) * (
-            LaurentPoly.monomial(0) - LaurentPoly.monomial(-2 * a)
-        )
-        n2 = LaurentPoly.monomial(0)
-        d2 = LaurentPoly.monomial(a) - LaurentPoly.monomial(-a)
+        n1 = LaurentPoly({-a: 1, a: -1})
+        d1 = LaurentPoly({0: 1, 2 * a: -1}) * LaurentPoly({0: 1, -2 * a: -1})
+        n2 = LaurentPoly({0: 1})
+        d2 = LaurentPoly({a: 1, -a: -1})
         assert n1 * d2 == n2 * d1
 
 

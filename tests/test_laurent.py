@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spincut.laurent import LaurentPoly, NotDivisibleError, exact_divide
+from spincut import laurent
+from spincut.laurent import LaurentPoly, NotDivisibleError, SupportLimitError, exact_divide
 
 
 def q(exponent: int, coefficient: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(exponent, coefficient)
+    return LaurentPoly({exponent: coefficient})
 
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(
@@ -21,16 +22,11 @@ characters = st.dictionaries(st.integers(-10, 10), st.integers(-9, 9), max_size=
 
 
 def test_difference_of_squares():
-    assert (q(2) - q(0)) * (q(2) + q(0)) == q(4) - q(0)
+    assert (q(2) + q(0, -1)) * (q(2) + q(0)) == q(4) + q(0, -1)
 
 
 def test_additive_inverse_cancels():
-    assert (q(1) - q(-1)) + (q(-1) - q(1)) == LaurentPoly()
-
-
-def test_subtracting_zero_is_identity():
-    p = q(3) - q(1)
-    assert p - LaurentPoly() == p
+    assert (q(1) + q(-1, -1)) + (q(-1) + q(1, -1)) == LaurentPoly()
 
 
 def test_no_zero_coefficients_stored():
@@ -45,10 +41,10 @@ def test_immutability():
 
 
 def test_exact_divide_examples():
-    assert exact_divide(q(3) - q(1), q(1) - q(-1)) == q(2)
-    assert exact_divide(q(4) - q(0), q(2) - q(0)) == q(2) + q(0)
+    assert exact_divide(q(3) + q(1, -1), q(1) + q(-1, -1)) == q(2)
+    assert exact_divide(q(4) + q(0, -1), q(2) + q(0, -1)) == q(2) + q(0)
     with pytest.raises(NotDivisibleError):
-        exact_divide(q(2) + q(0), q(1) - q(0))
+        exact_divide(q(2) + q(0), q(1) + q(0, -1))
 
 
 def test_exact_divide_zero_numerator_and_zero_denominator():
@@ -109,3 +105,31 @@ def test_character_add_matches_pointwise_addition(a, b):
     total = a + b
     for w in set(a.support()) | set(b.support()):
         assert total.multiplicity(w) == a.multiplicity(w) + b.multiplicity(w)
+
+
+def test_times_binomial_examples():
+    assert q(0).times_binomial(1) == q(0) + q(-1, -1)
+    # (1 + lambda^-1)(1 - lambda^-1): the middle terms cancel and are dropped.
+    assert (q(0) + q(-1)).times_binomial(1) == q(0) + q(-2, -1)
+    assert (q(0) + q(-1)).times_binomial(1).items() == ((-2, -1), (0, 1))
+    assert LaurentPoly().times_binomial(3) == LaurentPoly()
+    # A negative weight: 1 - lambda^2.
+    assert q(5, 2).times_binomial(-2) == q(5, 2) + q(7, -2)
+
+
+@given(polys, st.integers(-9, 9).filter(bool))
+def test_times_binomial_is_the_product_with_the_binomial(p, a):
+    assert p.times_binomial(a) == p * (q(0) + q(-a, -1))
+
+
+def test_times_binomial_counts_term_pairs_at_call_time(monkeypatch):
+    # Two term pairs per term, like the product with the binomial.
+    p = LaurentPoly({e: 1 for e in range(3)})
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 6)
+    assert p.times_binomial(1) == q(2) + q(-1, -1)
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 5)
+    message = "a product has more than 5 term pairs, the output-support limit"
+    with pytest.raises(SupportLimitError, match=message):
+        p.times_binomial(1)
+    with pytest.raises(SupportLimitError, match=message):
+        p * (q(0) + q(-1, -1))
