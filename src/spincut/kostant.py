@@ -8,15 +8,16 @@ lands on the queried weight.  A count costs O(1) for one or two weights (a
 remainder, a closed form).  For m >= 3 weights it peels one multiple of the
 largest weight at a time below the depth m*lcm(weights) and interpolates the
 count's quasi-polynomial from there on from m peeled samples, so its cost
-stops growing with the depth; a count whose peeling would pass
-MAX_COUNT_STEPS, the counting limit, raises InvalidDataError.  A counter per
-sorted weight tuple, m samples per residue class and a counting plan per
-dataset (its polarization, points grouped by weights) are kept in bounded
+stops growing with the depth.  Each peel level charges its loop iterations
+as it starts, and a count whose charges pass MAX_COUNT_STEPS, the counting
+limit, raises InvalidDataError.  A counter per sorted weight tuple, m
+samples per residue class and a counting plan per dataset (its
+polarization, points grouped by weights) are kept in bounded
 functools.lru_cache caches, and fixed_points.polarize keeps its own, so a
-sweep of weights over one dataset, polarized by the caller or not, validates
-it once.  The rational route assembles every component's closed form over a
-common denominator, divides exactly, and reads off the whole character at
-once.  Each closed form's denominator is a product of binomials
+sweep of weights over one dataset, polarized by the caller or not,
+validates it once.  The rational route assembles every component's closed
+form over a common denominator, divides exactly, and reads off the whole
+character at once.  Each closed form's denominator is a product of binomials
 1 - lambda^-a (times 2 for a surface), and the running numerator and
 denominator are multiplied by one binomial at a time, so a component with m
 weights costs O(m * |den|).  A truncated geometric series gives a third,
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from math import comb, gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable
 
 from .fixed_points import (
     Codim2Component,
@@ -62,65 +63,11 @@ class NonIntegerMultiplicityError(ArithmeticError):
 
 # The counting limit.  Below m*lcm(weights), m >= 3 sorted weights are
 # counted by peeling multiples of every weight but the two smallest, one
-# loop iteration per multiple at each level (_peel_steps counts them), and a
-# far query's m samples are peeled at up to n = (m-1)*lcm(weights) + r.  So a
-# file of a hundred bytes can ask for 10^12 iterations; a count that needs
-# more than this many raises InvalidDataError instead.  At the limit a count
-# takes a few seconds.
+# loop iteration per multiple at each level, and a far query's m samples are
+# peeled at up to n = (m-1)*lcm(weights) + r: a file of a hundred bytes can
+# ask for 10^12 iterations.  _peel charges them as it goes, and a count that
+# needs more raises InvalidDataError.  At the limit a count takes seconds.
 MAX_COUNT_STEPS = 1 << 22
-
-
-def _check_steps(alphas: tuple[int, ...], depths: Iterable[int]) -> None:
-    # Holds the peels of the sorted alphas at these depths to the counting
-    # limit together, before any of them runs.
-    steps = 0
-    for n in depths:
-        steps += _peel_steps(alphas[2:], n, MAX_COUNT_STEPS - steps)
-        if steps > MAX_COUNT_STEPS:
-            raise InvalidDataError(
-                f"a count needs more than {MAX_COUNT_STEPS} steps, the counting limit"
-            )
-
-
-def _peel_steps(peeled: tuple[int, ...], n: int, budget: int) -> int:
-    # The loop iterations of _peel at n, for the sorted weights it peels
-    # (all but the two smallest): at each level one per multiple of the
-    # largest weight left that fits.  Exact up to budget; past it the sum
-    # stops early at some value above budget.  Every call adds at least one
-    # step, so the check makes at most about budget calls.
-    *rest, a = peeled
-    top = n // a + 1
-    if not rest:
-        return top
-    if len(rest) == 1:
-        # Iteration e runs (n - e*a) // b + 1 inner ones; over i = top-1-e
-        # that is a floor sum of (i*a + n % a) // b.
-        return 2 * top + _floor_sum(top, rest[0], a, n % a)
-    rest = tuple(rest)
-    total = top
-    for e in range(top):
-        total += _peel_steps(rest, n - e * a, budget - total)
-        if total > budget:
-            break
-    return total
-
-
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    # sum_{i < n} (a*i + b) // m for n, m >= 1 and a, b >= 0, in O(log)
-    # steps by the Euclid-like reduction (AtCoder Library's floor_sum).
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        top = a * n + b
-        if top < m:
-            return total
-        n, b = divmod(top, m)
-        m, a = a, m
 
 
 @lru_cache(maxsize=1024)
@@ -155,18 +102,22 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
         # given exactly by Newton's forward differences at j = 0..m-1.
         period = lcm(*alphas)
         threshold = len(alphas) * period
-        # A peel's steps grow with n, so if the last count below the
-        # threshold is within the limit, no count there needs a check.  Far
-        # counts are checked with their samples, once per residue.  Checking
-        # every near count would cost about 1 us each (on (1, 2, 3), 2.4 to
-        # 3.4 us at n = 5, Python 3.11 on a 2-core Xeon VM).
-        checked = _peel_steps(alphas[2:], threshold - 1, MAX_COUNT_STEPS) > MAX_COUNT_STEPS
+        # Below the threshold the level peeling a_k loops at most
+        # prod_{j>=k}(n // a_j + 1) times in all, so while (m - 2) times that
+        # product for k = 3 at the threshold is within the limit, no near
+        # count can be refused and near counts skip the charge (a list and a
+        # test per level, a large share of a short peel).  The product stops
+        # once past the limit: in full it can have millions of digits.
+        bound = len(alphas) - 2
+        for a in alphas[2:]:
+            bound *= threshold // a + 1
+            if bound > MAX_COUNT_STEPS:
+                break
+        charged = bound > MAX_COUNT_STEPS
 
         def count(n: int) -> int:
             if n < threshold:
-                if checked:
-                    _check_steps(alphas, (n,))
-                return _peel(alphas, n)
+                return _peel(alphas, [0] if charged else None, n)
             j, r = divmod(n, period)
             return sum(d * comb(j, k) for k, d in enumerate(_differences(alphas, r)))
 
@@ -175,14 +126,12 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
 
 @lru_cache(maxsize=4096)
 def _differences(alphas: tuple[int, ...], r: int) -> tuple[int, ...]:
-    # Forward differences Delta^k at j = 0 of the peeled counts at
-    # n = r + j*lcm(alphas), j = 0..m-1.  A refusal at the counting limit is
-    # not cached, so every query of the residue raises, whatever was counted
-    # before.
+    # Forward differences Delta^k at j = 0 of the peeled counts at n = r +
+    # j*lcm(alphas), j = 0..m-1, held to the counting limit together.  A
+    # refusal is not cached, so every query of the residue raises.
     period = lcm(*alphas)
-    samples = [r + j * period for j in range(len(alphas))]
-    _check_steps(alphas, samples)
-    row = [_peel(alphas, n) for n in samples]
+    spent = [0]
+    row = [_peel(alphas, spent, r + j * period) for j in range(len(alphas))]
     heads = []
     while row:
         heads.append(row[0])
@@ -190,11 +139,21 @@ def _differences(alphas: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(heads)
 
 
-def _peel(alphas: tuple[int, ...], n: int) -> int:
+def _peel(alphas: tuple[int, ...], spent: list[int] | None, n: int) -> int:
     # alphas is sorted ascending, at least three; the largest weight is peeled
     # first, so the loop runs the fewest times and ends on the pair counter.
+    # Each level adds its loop iterations to spent[0] before it loops, so the
+    # charges sum to the peel's steps; spent is None where none can bind.
+    # The next level is a positional partial under map, one frame per level:
+    # a generator or a keyword argument would take two.
     rest, last = alphas[:-1], alphas[-1]
-    count_rest = _counter(rest) if len(rest) == 2 else partial(_peel, rest)
+    if spent is not None:
+        spent[0] += n // last + 1
+        if spent[0] > MAX_COUNT_STEPS:
+            raise InvalidDataError(
+                f"a count needs more than {MAX_COUNT_STEPS} steps, the counting limit"
+            )
+    count_rest = _counter(rest) if len(rest) == 2 else partial(_peel, rest, spent)
     return sum(map(count_rest, range(n, -1, -last)))
 
 
@@ -289,12 +248,13 @@ def _counting_plan(data: FixedPointData) -> _Plan:
 
 def component_term(
     comp: IsolatedFixedPoint | Codim2Component,
-) -> tuple[LaurentPoly, tuple[int, ...], int]:
+) -> tuple[dict[int, int], tuple[int, ...], int]:
     """Closed-form rational contribution of a single component, in lambda.
 
     Returned factored as (numerator, binomial weights, constant): the
     contribution is numerator / (constant * prod_a (1 - lambda^-a)) over the
-    binomial weights a, not reduced.  Isolated point: sign *
+    binomial weights a, not reduced, with the numerator as a dict of its
+    nonzero terms, exponent to coefficient.  Isolated point: sign *
     lambda^((mu-sum alpha_j)/2) over the binomials of its weights alpha_j.
     Point component: sign * lambda^((mu-alpha)/2) over 1 - lambda^-alpha.
     Surface component, with x = lambda^-alpha:
@@ -304,20 +264,18 @@ def component_term(
     makes each exponent an integer.  Polarization is not required; flipped
     components produce the identical rational function.
     """
-    from .laurent import LaurentPoly
-
     if isinstance(comp, IsolatedFixedPoint):
         top = (comp.det_weight - sum(comp.weights)) // 2
-        return LaurentPoly({top: comp.sign}), comp.weights, 1
+        return {top: comp.sign}, comp.weights, 1
     alpha = comp.normal_weight
     top = (comp.det_weight - alpha) // 2
     if comp.dim == 0:
-        return LaurentPoly({top: comp.sign}), (alpha,), 1
+        return {top: comp.sign}, (alpha,), 1
     numerator = {
         top: comp.sign * (comp.chern_l - 2 * comp.chern_n),
         top - alpha: -comp.sign * comp.chern_l,
     }
-    return LaurentPoly(numerator), (alpha, alpha), 2
+    return {e: c for e, c in numerator.items() if c}, (alpha, alpha), 2
 
 
 def character_rational(data: FixedPointData) -> LaurentPoly:
@@ -342,7 +300,7 @@ def character_rational(data: FixedPointData) -> LaurentPoly:
     num, den = LaurentPoly(), LaurentPoly({0: 1})
     for comp in data.components():
         n, weights, constant = component_term(comp)
-        added = n * den
+        added = LaurentPoly(n) * den
         for alpha in weights:
             num, den = num.times_binomial(alpha), den.times_binomial(alpha)
         if constant != 1:

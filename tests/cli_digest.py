@@ -18,14 +18,16 @@ with weights 1, 2, 4, ..., which passes the product limit.  On each:
 with and without --paper-signs, then `cut` and `check-additivity` with and
 without --paper-signs; plus `sphere --cut --diagram` over the grid.  Four
 more points get only `quantize --beta` at each of BETAS, with and without
---paper-signs: m = 3 with weights (97, 101, 103) and (1000003, 1000033,
-1000037), whose counter checks every query against the counting limit, and
-m = 5 with weights (2, 3, 5, 7, 11), which peels three levels deep below
-m*lcm(weights) and counts its steps in the general loop, and (1, 1, 2, 3,
-5), which interpolates above it.  Two more points get one `quantize --beta`
-each, with and without --paper-signs, that the counting route refuses with
-exit 1: (1000003, 1000033, 1000037) at the depth 10^16, past the counting
-limit, and 1500 weights of 1, past the peel's recursion.  The datasets come
+--paper-signs: m = 3 with weights (97, 101, 103), whose near counts all fit
+the counting limit, and (1000003, 1000033, 1000037), whose near counts the
+peel charges to it; m = 5 with weights (2, 3, 5, 7, 11), which peels three
+levels deep below m*lcm(weights), and (1, 1, 2, 3, 5), which interpolates
+above it.  Three more points get one `quantize --beta` each, with and
+without --paper-signs, that the counting route refuses with exit 1:
+(1000003, 1000033, 1000037) at the depth 10^16, past the counting limit at
+the first level; (1000, 1001, 1002, 1003) at beta -2950000, just past the
+limit, so its peel charges levels for about a second before it stops; and
+1500 weights of 1, past the peel's recursion.  The datasets come
 from generators.py next to this file, so both checkouts are run on the same
 inputs.  BETAS reach -400 so that counting at m >= 3 passes the threshold
 m*lcm(weights) above which it interpolates the quasi-polynomial instead of
@@ -33,7 +35,7 @@ peeling.  The file is not a test module; pytest does not collect it.
 
 With these points, a checkout and its parent both printed
 
-    4103 calls; exit codes 0: 3630, 1: 10, 2: 463; sha1 ab67a23572c22e7bd21502bb5da28376e8562205
+    4105 calls; exit codes 0: 3630, 1: 12, 2: 463; sha1 badbc91787d4ea9fa98c2c99855245a95f90654e
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def beta_only():
         ((2, 3, 5, 7, 11), 200, BETAS),
         ((1, 1, 2, 3, 5), 0, BETAS),
         ((1000003, 1000033, 1000037), 0, (-(10**16),)),
+        ((1000, 1001, 1002, 1003), 0, (-2950000,)),
         ((1,) * 1500, 2, (0,)),
     ):
         point = fixed_points.IsolatedFixedPoint(weights, sum(weights) + above, 1)

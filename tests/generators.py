@@ -208,14 +208,14 @@ def closed_form(
 ) -> tuple[LaurentPoly, LaurentPoly]:
     """A component's closed form as (numerator, denominator), multiplied out.
 
-    component_term gives (numerator, binomial weights, constant); the
+    component_term gives (numerator terms, binomial weights, constant); the
     denominator is constant * prod_a (1 - lambda^-a) over the weights.
     """
     numerator, weights, constant = component_term(comp)
     denominator = LaurentPoly({0: constant})
     for a in weights:
         denominator = denominator * LaurentPoly({0: 1, -a: -1})
-    return numerator, denominator
+    return LaurentPoly(numerator), denominator
 
 
 def _flip_point(rng: random.Random, point: IsolatedFixedPoint) -> IsolatedFixedPoint:

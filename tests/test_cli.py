@@ -457,6 +457,24 @@ def test_beta_past_the_counting_limit_exits_1_at_once(tmp_path):
             _assert_one_line_error(result.returncode, result.stdout, result.stderr)
 
 
+def test_an_m4_count_past_the_counting_limit_exits_1_within_the_largest_counts_time(tmp_path):
+    # The peel charges each level's iterations as it starts, so a refused
+    # m = 4 count peels at most the limit's worth of steps before it stops:
+    # about as long as --beta -2900000, the largest accepted count here.
+    point = IsolatedFixedPoint(weights=(1000, 1001, 1002, 1003), det_weight=4006, sign=1)
+    path = write_dataset(tmp_path, FixedPointData(4, (point,)))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "spincut", "quantize", path, "--beta", "-100000000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert result.stderr == "error: a count needs more than 4194304 steps, the counting limit\n"
+    _assert_one_line_error(result.returncode, result.stdout, result.stderr)
+
+
 def test_beta_within_the_counting_limit_is_counted_for_six_weights(tmp_path, capsys):
     # The peel at n = 2482 over (5, 6, 52, 957) runs 2138184 loop iterations,
     # half the limit, so a step bound that is 2x loose for m >= 4 refuses it.

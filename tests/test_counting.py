@@ -14,6 +14,8 @@ import pickle
 import random
 import subprocess
 import sys
+import time
+from functools import cache
 from math import lcm
 from pathlib import Path
 
@@ -255,26 +257,12 @@ def test_a_pickled_dataset_hashes_like_one_built_in_a_fresh_process():
     assert copy.deepcopy(data) == data and hash(copy.copy(data)) == hash(data)
 
 
+@cache
 def _iterations(peeled, n):
     # The peel runs one iteration per multiple e_j of each weight but the two
     # smallest, largest first, while sum e_j*a_j <= n for the weights so far.
-    *rest, last = peeled
+    rest, last = peeled[:-1], peeled[-1]
     return sum(1 + (_iterations(rest, n - e * last) if rest else 0) for e in range(n // last + 1))
-
-
-def test_peel_steps_are_the_peels_loop_iterations():
-    rng = random.Random(53)
-    for _ in range(300):
-        weights = tuple(sorted(rng.randint(1, 40) for _ in range(rng.randint(3, 7))))
-        n = rng.randint(0, 200)
-        exact = _iterations(weights[2:], n)
-        assert kostant._peel_steps(weights[2:], n, 10**9) == exact, (weights, n)
-        # Under a smaller budget the sum stops early, but only past it.
-        budget = rng.randint(1, exact)
-        steps = kostant._peel_steps(weights[2:], n, budget)
-        assert steps > budget if exact > budget else steps == exact, (weights, n, budget)
-    # Weights near a trillion at n near 10^18: a floor sum, not a loop.
-    assert kostant._peel_steps((10**12 + 39, 10**12 + 61), 10**18, 1) > 1
 
 
 @pytest.fixture
@@ -309,8 +297,8 @@ def test_a_count_past_the_counting_limit_raises_on_every_call(counting_limit):
     counting_limit(1000)
     for n in (1300, 2500, 3003, 3200):
         assert count(weights, n) == table[2 * n + 31]
-    # (2, 3, 5, 7): at m = 4 a peel's steps end in a floor sum.  The threshold
-    # is 840, so the first depth whose peel passes 60 steps is a near one.
+    # (2, 3, 5, 7): at m = 4 the peel charges two levels.  The threshold is
+    # 840, so the first depth whose peel passes 60 steps is a near one.
     weights = (2, 3, 5, 7)
     first = next(n for n in range(840) if _iterations(weights[2:], n) > 60)
     assert first == 55
@@ -319,6 +307,53 @@ def test_a_count_past_the_counting_limit_raises_on_every_call(counting_limit):
     for _ in range(2):
         with pytest.raises(InvalidDataError, match="a count needs more than 60 steps"):
             count(weights, first)
+
+
+def test_a_count_is_refused_exactly_when_its_steps_pass_the_limit(counting_limit):
+    # A near count takes its peel's loop iterations; a far one the sum over
+    # its residue's m samples r + j*lcm.  Limits within 3 of the steps, on
+    # both sides, pin that no count within the limit is refused.
+    rng = random.Random(59)
+    refused = checked = 0
+    for _ in range(400):
+        weights = tuple(sorted(rng.randint(1, 7) for _ in range(rng.randint(3, 5))))
+        period = lcm(*weights)
+        n = rng.randrange(2 * _threshold(weights))
+        if n < _threshold(weights):
+            steps = _iterations(weights[2:], n)
+        else:
+            r = n % period
+            steps = sum(_iterations(weights[2:], r + j * period) for j in range(len(weights)))
+        if steps > 20000:
+            continue
+        limit = max(1, steps + rng.randint(-3, 3))
+        counting_limit(limit)
+        if steps > limit:
+            with pytest.raises(InvalidDataError, match=f"more than {limit} steps, the counting"):
+                count(weights, n)
+            refused += 1
+        else:
+            t = 2 * n + sum(weights)
+            assert count(weights, n) == odd_partition_table(weights, t)[t], (weights, n)
+        checked += 1
+    assert checked > 300 and refused > 100
+
+
+def test_a_peel_level_takes_one_frame_of_the_recursion():
+    # 900 weights of 1 peel 898 levels deep.  With one frame per level that
+    # fits under the interpreter's recursion limit of 1000 with room for the
+    # test runner's frames (a bare script counts up to 995 weights); with
+    # two frames per level the peel passes the limit near 500 weights.
+    assert count((1,) * 900, 0) == 1
+
+
+def test_many_large_weights_decide_their_charge_at_once():
+    # 400 odd weights near 10^18 have an lcm of about 22000 bits; the bound
+    # that decides whether near counts are charged stops at the limit
+    # instead of multiplying out 398 such factors (27 s).
+    started = time.perf_counter()
+    assert count(tuple(10**18 + 2 * i + 1 for i in range(400)), 0) == 1
+    assert time.perf_counter() - started < 5
 
 
 def test_counting_past_the_recursion_limit_raises_on_every_call():

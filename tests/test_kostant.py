@@ -183,25 +183,28 @@ def test_component_term_lambda_forms():
     # Each closed form in the circle variable lambda, factored as
     # (numerator, binomial weights, constant) and multiplied out, unreduced.
     point = IsolatedFixedPoint((1,), 1, 1)
-    assert component_term(point) == (LaurentPoly({0: 1}), (1,), 1)
+    assert component_term(point) == ({0: 1}, (1,), 1)
     assert closed_form(point) == (LaurentPoly({0: 1}), LaurentPoly({0: 1, -1: -1}))
     # (3 - (1 - 2)) / 2 = 2; (1 - lambda^-1)(1 - lambda^2)
     point = IsolatedFixedPoint((1, -2), 3, -1)
-    assert component_term(point) == (LaurentPoly({2: -1}), (1, -2), 1)
+    assert component_term(point) == ({2: -1}, (1, -2), 1)
     assert closed_form(point) == (
         LaurentPoly({2: -1}),
         LaurentPoly({1: 1, 0: 1, -1: -1, 2: -1}),
     )
     comp = Codim2Component(dim=0, normal_weight=2, det_weight=4, sign=-1)
-    assert component_term(comp) == (LaurentPoly({1: -1}), (2,), 1)
+    assert component_term(comp) == ({1: -1}, (2,), 1)
     assert closed_form(comp) == (LaurentPoly({1: -1}), LaurentPoly({0: 1, -2: -1}))
     # lambda * ((5 - 2) - 5 lambda^-1) / (2 (1 - lambda^-1)^2)
     comp = Codim2Component(2, 1, 3, 1, chern_l=5, chern_n=1)
-    assert component_term(comp) == (LaurentPoly({1: 3, 0: -5}), (1, 1), 2)
+    assert component_term(comp) == ({1: 3, 0: -5}, (1, 1), 2)
     assert closed_form(comp) == (
         LaurentPoly({1: 3, 0: -5}),
         LaurentPoly({0: 2, -1: -4, -2: 2}),
     )
+    # chern_l = 2*chern_n: the numerator keeps only its nonzero term.
+    comp = Codim2Component(2, 1, 3, 1, chern_l=2, chern_n=1)
+    assert component_term(comp) == ({0: -2}, (1, 1), 2)
 
 
 def test_character_rational_examples():
