@@ -1,27 +1,28 @@
 """Multiplicity engines for quantized circle actions.
 
 Two independent routes compute the same thing.  The counting route,
-multiplicity, evaluates one weight at a time: each isolated point contributes
-a signed count of positive half-integer partitions, and each codimension-2
-component contributes a signed surface integral when its unique expansion step
-lands on the queried weight.  A count costs O(1) for one or two weights (a
+multiplicity, evaluates one weight at a time as a sum of signed
+coin-exchange counts: one per isolated point, over its weights, and one or
+two per codimension-2 component, over one or two copies of its normal weight
+(a surface's integrand is linear in the expansion step, and two copies count
+one more at each step).  A count costs O(1) for one or two weights (a
 remainder, a closed form).  For m >= 3 weights it peels one multiple of the
 largest weight at a time below the depth m*lcm(weights) and interpolates the
 count's quasi-polynomial from there on from m peeled samples, so its cost
 stops growing with the depth.  Each peel level charges its loop iterations
 as it starts, and a count whose charges pass MAX_COUNT_STEPS, the counting
 limit, raises InvalidDataError.  A counter per sorted weight tuple, m
-samples per residue class and a counting plan per dataset (its
-polarization, points grouped by weights) are kept in bounded
-functools.lru_cache caches, and fixed_points.polarize keeps its own, so a
-sweep of weights over one dataset, polarized by the caller or not,
-validates it once.  The rational route assembles every component's closed
-form over a common denominator, divides exactly, and reads off the whole
-character at once.  Each closed form's denominator is a product of binomials
-1 - lambda^-a (times 2 for a surface), and the running numerator and
-denominator are multiplied by one binomial at a time, so a component with m
-weights costs O(m * |den|).  A truncated geometric series gives a third,
-deliberately brute-force oracle.  The counting route and the oracle expand
+samples per residue class and a counting plan per dataset (one counter,
+top and coefficient per count) are kept in bounded functools.lru_cache
+caches, and fixed_points.polarize keeps its own, so a sweep of weights over
+one dataset, polarized by the caller or not, validates it once.  The
+rational route assembles every component's closed form over a common
+denominator, divides exactly, and reads off the whole character at once.
+Each closed form's denominator is a product of binomials 1 - lambda^-a
+(times 2 for a surface), and the running numerator and denominator are
+multiplied by one binomial at a time, so a component with m weights costs
+O(m * |den|).  A truncated geometric series gives a third, deliberately
+brute-force oracle.  The counting route and the oracle expand
 every weight in its positive direction, so each takes any valid data and
 works on its polarization (fixed_points.polarize); the rational route needs
 none.  The rational route loads the laurent module on first use, so callers
@@ -33,8 +34,8 @@ at lambda^beta, and the parity rule of fixed_points makes every exponent an
 integer.  The counting route reads each component at the depth n = top -
 beta below its top weight, (mu - sum alpha)/2 for an isolated point and
 (mu - alpha)/2 for a codimension-2 one, so it counts nonnegative integers:
-k_j = e_j + 1/2 and sum e_j*alpha_j = n (coin exchange).  Only surface
-integrand values and the oracle's sums stay doubled, and integrality is
+k_j = e_j + 1/2 and sum e_j*alpha_j = n (coin exchange).  Only the plan's
+coefficients and the oracle's sums stay doubled, and integrality is
 asserted only on final multiplicities.  A dim-0 codimension-2 component
 contributes exactly like the isolated point with the same data; the paper's
 opposite sign convention is fixed_points.flip_codim2_signs applied to the
@@ -157,63 +158,39 @@ def _peel(alphas: tuple[int, ...], spent: list[int] | None, n: int) -> int:
     return sum(map(count_rest, range(n, -1, -last)))
 
 
-def pbar(comp: Codim2Component, k_doubled: int) -> int:
-    """Doubled surface integrand of a codimension-2 component at expansion step k.
-
-    For a point component the integrand is the constant 1 (doubled: 2).  For a
-    surface it is (chern_l - chern_n)/2 - k*chern_n, the degree-2 part of the
-    expansion of the determinant-twisted normal contribution; doubled this is
-    (chern_l - chern_n) - k_doubled*chern_n, always an integer.  The
-    component must be polarized: a nonpositive normal weight raises
-    ValueError.
-    """
-    if comp.normal_weight <= 0:
-        raise ValueError("component must be polarized (normal weight > 0)")
-    if k_doubled <= 0 or k_doubled % 2 == 0:
-        raise ValueError("k must be a positive half-integer, passed doubled (odd)")
-    if comp.dim == 0:
-        return 2
-    return (comp.chern_l - comp.chern_n) - k_doubled * comp.chern_n
-
-
 def multiplicity(data: FixedPointData, beta: int) -> int:
     """Weight multiplicity by counting, one weight at a time.
 
     Takes any valid data and counts its polarization at the depth
     n = top - beta below each component's top weight.  An isolated point,
-    top (mu - sum alpha)/2, contributes sign times its coin-exchange count at n.
-    A codimension-2 component, top (mu - alpha)/2, contributes sign * pbar/2
-    at k = j + 1/2 when n = j*alpha with j >= 0.  An odd total of the doubled
-    contributions means the halves failed to cancel and the data is not
-    consistent.  Realizability is not checked: on data that is no closed
-    manifold's, this still returns a count, where character_rational raises
-    NotDivisibleError.
+    top (mu - sum alpha)/2, contributes sign times its coin-exchange count at
+    n.  A codimension-2 component, top (mu - alpha)/2, contributes sign times
+    half its doubled integrand at n = j*alpha with j >= 0: 2, one count of
+    (alpha,), for a point component, and chern_l - 2*(j + 1)*chern_n,
+    chern_l counts of (alpha,) minus 2*chern_n counts of (alpha, alpha), for
+    a surface.  An odd doubled total means the halves failed to cancel and
+    the data is not consistent.  Realizability is not checked: on data that
+    is no closed manifold's, this still returns a count, where
+    character_rational raises NotDivisibleError.
 
-    The polarized data, with every component's top and one counter per
-    group of isolated points with the same sorted weights, is built once
-    per dataset and kept in a bounded cache keyed on the (frozen, hashable)
-    data, whose hash is computed once per instance, so a sweep of weights
-    validates and sorts once.  Each point then costs one count at its depth,
-    as the module docstring prices it; a count past the counting limit, or
-    past the peel's recursion, raises InvalidDataError.  Invalid data raises
-    InvalidDataError on every call, since a raise is never cached.
+    The counting plan, one (counter, top, doubled signed coefficient) term
+    per count, is built once per dataset and kept in a bounded cache keyed
+    on the (frozen, hashable) data, whose hash is computed once per
+    instance, so a sweep of weights validates and sorts once.  Each term
+    then costs one count at its depth, as the module docstring prices it; a
+    count past the counting limit, or past the peel's recursion, raises
+    InvalidDataError.  Invalid data raises InvalidDataError on every call,
+    since a raise is never cached.
     """
-    total = 0
+    doubled = 0
     try:
-        groups, codim2 = _counting_plan(data)
-        for count, points in groups:
-            for top, sign in points:
-                if top >= beta:
-                    total += sign * count(top - beta)
+        for count, top, coefficient in _counting_plan(data):
+            if top >= beta:
+                doubled += coefficient * count(top - beta)
     except RecursionError:
         raise InvalidDataError(
             f"{data.half_dimension} weights are too many for the counting path's recursion"
         ) from None
-    doubled = 2 * total
-    for top, alpha, first, step in codim2:
-        j, leftover = divmod(top - beta, alpha)
-        if leftover == 0 and j >= 0:
-            doubled += first + j * step
     if doubled % 2:
         raise NonIntegerMultiplicityError(
             f"half multiplicity at weight {beta}: doubled total {doubled} is odd"
@@ -221,29 +198,25 @@ def multiplicity(data: FixedPointData, beta: int) -> int:
     return doubled // 2
 
 
-# Per sorted weight tuple, a counter and the (top, sign) of every isolated
-# point it counts; then (top, alpha, first, step) for every codimension-2
-# component, whose signed pbar at k = j + 1/2 is first + j * step.
-_Plan = tuple[
-    tuple[tuple[Callable[[int], int], tuple[tuple[int, int], ...]], ...],
-    tuple[tuple[int, int, int, int], ...],
-]
+_Plan = tuple[tuple[Callable[[int], int], int, int], ...]
 
 
 @lru_cache(maxsize=32)
 def _counting_plan(data: FixedPointData) -> _Plan:
     # All polarized; polarize validates, and a raise is never cached.
     data = polarize(data)
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for point in data.isolated:
-        top = (point.det_weight - sum(point.weights)) // 2
-        groups.setdefault(tuple(sorted(point.weights)), []).append((top, point.sign))
-    plan = tuple((_counter(alphas), tuple(points)) for alphas, points in groups.items())
-    codim2 = []
-    for c in data.codim2:  # pbar is linear in k
-        first, top = c.sign * pbar(c, 1), (c.det_weight - c.normal_weight) // 2
-        codim2.append((top, c.normal_weight, first, c.sign * pbar(c, 3) - first))
-    return plan, tuple(codim2)
+    plan = [
+        (_counter(tuple(sorted(p.weights))), (p.det_weight - sum(p.weights)) // 2, 2 * p.sign)
+        for p in data.isolated
+    ]
+    for c in data.codim2:
+        alpha, top = c.normal_weight, (c.det_weight - c.normal_weight) // 2
+        if c.dim == 0:
+            terms = (((alpha,), 2),)
+        else:
+            terms = (((alpha,), c.chern_l), ((alpha, alpha), -2 * c.chern_n))
+        plan.extend((_counter(alphas), top, c.sign * k) for alphas, k in terms if k)
+    return tuple(plan)
 
 
 def component_term(
@@ -259,7 +232,8 @@ def component_term(
     Point component: sign * lambda^((mu-alpha)/2) over 1 - lambda^-alpha.
     Surface component, with x = lambda^-alpha:
     sign * lambda^((mu-alpha)/2) * ((chern_l - 2*chern_n) - chern_l*x) / (2*(1-x)^2),
-    which is the geometric-series closed form of the doubled pbar expansion.
+    which sums the doubled surface integrand (chern_l - chern_n) - 2k*chern_n
+    times x^j over the steps k = j + 1/2 as a geometric series.
     The component must satisfy the parity rule of fixed_points.validate, which
     makes each exponent an integer.  Polarization is not required; flipped
     components produce the identical rational function.
@@ -332,8 +306,12 @@ def character_series(data: FixedPointData, window: tuple[int, int]) -> dict[int,
         k_doubled = 1
         while weight >= lo:
             if weight <= hi:
-                value = comp.sign * pbar(comp, k_doubled)
-                doubled[weight] = doubled.get(weight, 0) + value
+                # The paper's doubled integrand at k = k_doubled/2.
+                if comp.dim == 0:
+                    value = 2
+                else:
+                    value = (comp.chern_l - comp.chern_n) - k_doubled * comp.chern_n
+                doubled[weight] = doubled.get(weight, 0) + comp.sign * value
             weight -= comp.normal_weight
             k_doubled += 2
     result: dict[int, int] = {}

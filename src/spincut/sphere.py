@@ -9,7 +9,6 @@ P_{k,-k}, which is the worked identity the engines are tested against.
 
 from __future__ import annotations
 
-from .cutting import CutSpecification, ReducedComponent
 from .fixed_points import FixedPointData, IsolatedFixedPoint
 
 
@@ -42,6 +41,10 @@ def canonical_cut_spec() -> CutSpecification:
     component's determinant weight 1 then matches the south pole of
     P_{0,k+n} and the north pole of P_{k,-k}.
     """
+    # Imported here so that sphere_data alone never loads cutting, which
+    # loads both engines: counting a catalogue sphere never compiles laurent.
+    from .cutting import CutSpecification, ReducedComponent
+
     return CutSpecification(
         assignments={0: "plus", 1: "minus"},
         reduced=(ReducedComponent(dim=0),),

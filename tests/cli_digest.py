@@ -27,13 +27,26 @@ without --paper-signs, that the counting route refuses with exit 1:
 (1000003, 1000033, 1000037) at the depth 10^16, past the counting limit at
 the first level; (1000, 1001, 1002, 1003) at beta -2950000, just past the
 limit, so its peel charges levels for about a second before it stops; and
-1500 weights of 1, past the peel's recursion.  The datasets come
-from generators.py next to this file, so both checkouts are run on the same
-inputs.  BETAS reach -400 so that counting at m >= 3 passes the threshold
+1500 weights of 1, past the peel's recursion.  Three m = 2 datasets of
+surfaces get only `quantize --beta` at each of BETAS, with and without
+--paper-signs: Codim2Component(2, 1, 21, -1, 5, -4) and (2, 3, 23, -1, 5,
+-4), whose odd chern_l leaves a half multiplicity (exit 2) at every weight
+on their steps, and the pair (2, 2, 40, 1, 2*10^6 + 2, 10^6) and (2, -2,
+20, 1, -10^6, -10^6), one of them polarized by a flip, whose Chern numbers
+near 10^6 give a count of -4499999 at beta 3, also queried at beta -10^9,
+far below both tops.  The random datasets come from generators.py next
+to this file, so both checkouts are run on the same inputs.  BETAS reach -400 so that counting at m >= 3 passes the threshold
 m*lcm(weights) above which it interpolates the quasi-polynomial instead of
 peeling.  The file is not a test module; pytest does not collect it.
 
-With these points, a checkout and its parent both printed
+With this corpus, a checkout and its parent both printed
+
+    4137 calls; exit codes 0: 3650, 1: 12, 2: 475; sha1 931429adb7d38eaccb4d73094a26e14f6532698d
+
+and CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 each printed that same line
+for the change: the digest needs neither pytest nor hypothesis, so it also
+checks interpreters that have no test tools.  Without the three surface
+datasets the corpus printed
 
     4105 calls; exit codes 0: 3630, 1: 12, 2: 463; sha1 badbc91787d4ea9fa98c2c99855245a95f90654e
 """
@@ -101,6 +114,19 @@ def beta_only():
     ):
         point = fixed_points.IsolatedFixedPoint(weights, sum(weights) + above, 1)
         yield fixed_points.FixedPointData(len(weights), (point,)), betas
+    surface = fixed_points.Codim2Component
+    for surfaces, betas in (
+        ((surface(2, 1, 21, -1, 5, -4),), BETAS),
+        ((surface(2, 3, 23, -1, 5, -4),), BETAS),
+        (
+            (
+                surface(2, 2, 40, 1, 2 * 10**6 + 2, 10**6),
+                surface(2, -2, 20, 1, -(10**6), -(10**6)),
+            ),
+            BETAS + (-(10**9),),
+        ),
+    ):
+        yield fixed_points.FixedPointData(2, (), surfaces), betas
 
 
 def main() -> None:

@@ -22,7 +22,6 @@ from spincut.kostant import (
     character_series,
     component_term,
     multiplicity,
-    pbar,
 )
 from spincut.laurent import LaurentPoly, NotDivisibleError
 from spincut.sphere import sphere_data
@@ -125,24 +124,61 @@ def test_multiplicity_isolated_examples():
     assert multiplicity(sphere_data(2, -3), 1) == -1
 
 
-def test_pbar_examples():
-    point = Codim2Component(dim=0, normal_weight=1, det_weight=1, sign=1)
-    assert pbar(point, 1) == 2
-    assert pbar(point, 7) == 2
-    flat = Codim2Component(dim=2, normal_weight=1, det_weight=1, sign=1, chern_l=2, chern_n=0)
-    assert pbar(flat, 1) == 2
-    steep = Codim2Component(dim=2, normal_weight=1, det_weight=1, sign=1, chern_l=0, chern_n=2)
-    assert pbar(steep, 3) == -8
+def _surface(normal_weight, det_weight, sign, chern_l, chern_n):
+    comp = Codim2Component(2, normal_weight, det_weight, sign, chern_l, chern_n)
+    return FixedPointData(half_dimension=2, codim2=(comp,))
 
 
-def test_pbar_rejects_bad_step_and_unpolarized_component():
-    comp = Codim2Component(dim=0, normal_weight=1, det_weight=1, sign=1)
-    with pytest.raises(ValueError):
-        pbar(comp, 2)
-    with pytest.raises(ValueError):
-        pbar(comp, -1)
-    with pytest.raises(ValueError):
-        pbar(Codim2Component(dim=0, normal_weight=-1, det_weight=1, sign=1), 1)
+# (dataset, its polarized (alpha, top, sign, chern_l, chern_n)), the surface
+# written out by hand, with top = (mu - alpha)/2.
+_SURFACES = [
+    # flat: chern_l/2 - (j + 1)*0 = 1 at every step.
+    (_surface(1, 1, 1, 2, 0), (1, 0, 1, 2, 0)),
+    # steep: 0 - (j + 1)*2, so -4 at j = 1.
+    (_surface(1, 1, 1, 0, 2), (1, 0, 1, 0, 2)),
+    (_surface(2, 6, -1, 4, 1), (2, 2, -1, 4, 1)),
+    (_surface(3, -5, 1, -6, 3), (3, -4, 1, -6, 3)),
+    (_surface(5, 9, -1, 10, -2), (5, 2, -1, 10, -2)),
+    # alpha = -3 polarizes to 3 with the sign negated, chern_n negated and
+    # chern_l shifted by -2*chern_n: 4 - 2*5 = -6; top (7 - 3)/2 = 2.
+    (_surface(-3, 7, 1, 4, 5), (3, 2, -1, -6, -5)),
+    (_surface(-2, 0, -1, 8, -1), (2, -1, 1, 10, 1)),
+]
+
+
+@pytest.mark.parametrize("data, polarized", _SURFACES)
+def test_surface_contributes_half_chern_l_minus_steps_times_chern_n(data, polarized):
+    # At beta = top - j*alpha, j >= 0, a surface contributes
+    # sign*(chern_l/2 - (j + 1)*chern_n), and 0 at every other weight; the
+    # counting route and the series oracle must both say so.
+    alpha, top, sign, chern_l, chern_n = polarized
+    lo, hi = top - 6 * alpha - 2, top + 3
+    expected = {}
+    for beta in range(lo, hi + 1):
+        j, leftover = divmod(top - beta, alpha)
+        value = sign * (chern_l // 2 - (j + 1) * chern_n) if j >= 0 and not leftover else 0
+        assert multiplicity(data, beta) == value, beta
+        if value:
+            expected[beta] = value
+    assert character_series(data, (lo, hi)) == expected
+
+
+@pytest.mark.parametrize(
+    "data, polarized",
+    [(_surface(1, 1, 1, 3, 1), (1, 0, 1, 3, 1)), (_surface(-2, 4, -1, 5, 2), (2, 1, 1, 1, -2))],
+)
+def test_surface_with_odd_chern_l_leaves_the_same_half_in_both_routes(data, polarized):
+    # The doubled integrand sign*(chern_l - 2*(j + 1)*chern_n) is odd at
+    # every step, and both routes report it.
+    alpha, top, sign, chern_l, chern_n = polarized
+    for j in (0, 3):
+        beta = top - j * alpha
+        doubled = sign * (chern_l - 2 * (j + 1) * chern_n)
+        message = f"half multiplicity at weight {beta}: doubled total {doubled} is odd"
+        with pytest.raises(NonIntegerMultiplicityError, match=f"^{message}$"):
+            multiplicity(data, beta)
+        with pytest.raises(NonIntegerMultiplicityError, match=f"^{message}$"):
+            character_series(data, (beta, beta))
 
 
 def test_multiplicity_sphere_example():
