@@ -25,8 +25,8 @@ class SupportLimitError(ValueError):
 # with any number of weights (P_{0,n} has n), or for a combine whose
 # denominator doubles at each point, so time and memory are capped here: on
 # the terms of an exact quotient, the term pairs of one product or binomial
-# step, and the span of a diagram.  A quotient of this size takes a few
-# seconds.
+# step, and the span of a diagram.  A character of this size takes 2-3 s
+# (`quantize --character` on `sphere --k 0 --n 1048576`, 2-core VM).
 MAX_QUOTIENT_TERMS = 1 << 20
 
 
@@ -51,6 +51,15 @@ class LaurentPoly:
                 if value:
                     cleaned[int(key)] = int(value)
         object.__setattr__(self, "_coeffs", cleaned)
+
+    @classmethod
+    def _adopt(cls, coeffs: dict[int, int]) -> LaurentPoly:
+        # For results the class builds itself: coeffs already has only int
+        # keys and nonzero int values, and nothing else holds it, so it
+        # becomes the new polynomial's dict without __init__'s cleaning pass.
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_coeffs", coeffs)
+        return poly
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -92,8 +101,12 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return LaurentPoly(out)
+            value = out.get(k, 0) + v
+            if value:
+                out[k] = value
+            else:
+                del out[k]  # v is nonzero, so a zero sum had a key
+        return LaurentPoly._adopt(out)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -104,7 +117,7 @@ class LaurentPoly:
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._adopt({e: c for e, c in out.items() if c})
 
     def times_binomial(self, a: int) -> LaurentPoly:
         """This polynomial times 1 - lambda^-a, in O(len(self)).
@@ -114,14 +127,19 @@ class LaurentPoly:
         It is that product in one dict copy and one pass, where __mul__
         makes two dict updates per term.  The rational fold spends most of
         its time here: with __mul__ by the binomial instead, product-ladder
-        batch_s read 2.61 s against 1.39 s (medians of ten alternating pairs,
-        2-core VM), slower than the expanded product's 1.9 s.
+        batch_s read 2.15 s against 0.71 s (medians of ten alternating pairs,
+        2-core VM).
         """
         _check_term_pairs(2 * len(self))
         out = dict(self._coeffs)
         for e, c in self._coeffs.items():
-            out[e - a] = out.get(e - a, 0) - c
-        return LaurentPoly(out)
+            target = e - a
+            value = out.get(target, 0) - c
+            if value:
+                out[target] = value
+            else:
+                del out[target]  # c is nonzero, so a zero sum had a key
+        return LaurentPoly._adopt(out)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items())!r})"
@@ -145,7 +163,8 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
     den_lead = denominator.multiplicity(den_top)
     # Any exact quotient has its lowest exponent pinned by the input lows.
     shift_floor = numerator.min_exponent() - denominator.min_exponent()
-    remainder = dict(item for item in numerator.items())
+    den_terms = tuple(denominator._coeffs.items())
+    remainder = dict(numerator._coeffs)
     quotient: dict[int, int] = {}
     while remainder:
         top = max(remainder)
@@ -161,11 +180,12 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
                 f"the quotient has more than {MAX_QUOTIENT_TERMS} terms, "
                 "the output-support limit"
             )
-        for e, c in denominator.items():
+        for e, c in den_terms:
             target = e + shift
             value = remainder.get(target, 0) - coeff * c
             if value:
                 remainder[target] = value
             else:
                 remainder.pop(target, None)
-    return LaurentPoly(quotient)
+    # Each quotient value is nonzero: a nonzero top over den_lead, exactly.
+    return LaurentPoly._adopt(quotient)

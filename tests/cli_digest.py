@@ -34,19 +34,27 @@ surfaces get only `quantize --beta` at each of BETAS, with and without
 on their steps, and the pair (2, 2, 40, 1, 2*10^6 + 2, 10^6) and (2, -2,
 20, 1, -10^6, -10^6), one of them polarized by a flip, whose Chern numbers
 near 10^6 give a count of -4499999 at beta 3, also queried at beta -10^9,
-far below both tops.  The random datasets come from generators.py next
-to this file, so both checkouts are run on the same inputs.  BETAS reach -400 so that counting at m >= 3 passes the threshold
-m*lcm(weights) above which it interpolates the quasi-polynomial instead of
-peeling.  The file is not a test module; pytest does not collect it.
+far below both tops.  One isolated point with 300 weights of 1 and
+det_weight 300, unrealizable, gets only `quantize --character`, with and
+without --paper-signs: its fold builds (1 - lambda^-1)^300 one binomial at a
+time, with coefficients up to C(300, 150), before the exact division refuses
+it (exit 2).  The random datasets come from generators.py next to this
+file, so both checkouts are run on the same inputs.  BETAS reach -400 so
+that counting at m >= 3 passes the threshold m*lcm(weights) above which it
+interpolates the quasi-polynomial instead of peeling.  The file is not a test module; pytest does not collect it.
 
 With this corpus, a checkout and its parent both printed
 
-    4137 calls; exit codes 0: 3650, 1: 12, 2: 475; sha1 931429adb7d38eaccb4d73094a26e14f6532698d
+    4139 calls; exit codes 0: 3650, 1: 12, 2: 477; sha1 eeb0326ac1d57beaeaefb6b99e706eb6a55e943b
 
 and CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 each printed that same line
 for the change: the digest needs neither pytest nor hypothesis, so it also
-checks interpreters that have no test tools.  Without the three surface
-datasets the corpus printed
+checks interpreters that have no test tools.  Without the point of 300
+weights of 1 the corpus printed
+
+    4137 calls; exit codes 0: 3650, 1: 12, 2: 475; sha1 931429adb7d38eaccb4d73094a26e14f6532698d
+
+and without the three surface datasets as well
 
     4105 calls; exit codes 0: 3630, 1: 12, 2: 463; sha1 badbc91787d4ea9fa98c2c99855245a95f90654e
 """
@@ -129,6 +137,15 @@ def beta_only():
         yield fixed_points.FixedPointData(2, (), surfaces), betas
 
 
+def character_only():
+    """Datasets queried only with --character: one isolated point with 300
+    weights of 1, unrealizable at det_weight 300."""
+    from spincut import fixed_points
+
+    point = fixed_points.IsolatedFixedPoint((1,) * 300, 300, 1)
+    yield fixed_points.FixedPointData(300, (point,))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the src directory to run")
@@ -175,6 +192,11 @@ def main() -> None:
             for signs in ((), ("--paper-signs",)):
                 for beta in betas:
                     call("quantize", str(path), "--beta", str(beta), *signs)
+        for index, data in enumerate(character_only()):
+            path = Path(tmp, f"character{index}.json")
+            path.write_text(documents.serialize_dataset(data), encoding="utf-8")
+            for signs in ((), ("--paper-signs",)):
+                call("quantize", str(path), "--character", *signs)
         for k in range(-4, 5):
             for n in range(-4, 5):
                 call("sphere", "--k", str(k), "--n", str(n), "--cut", "--diagram")

@@ -133,3 +133,23 @@ def test_times_binomial_counts_term_pairs_at_call_time(monkeypatch):
         p.times_binomial(1)
     with pytest.raises(SupportLimitError, match=message):
         p * (q(0) + q(-1, -1))
+
+
+@given(polys, polys, st.integers(-9, 9))
+def test_results_store_only_nonzero_int_coefficients(a, b, k):
+    # Each result is stored exactly as LaurentPoly.__init__ would store it:
+    # exact int keys and values, no zero coefficient.
+    results = [a + b, a * q(0, -1) + a, a * b, a.times_binomial(k)]
+    if b:
+        results.append(exact_divide(a * b, b))
+    for result in results:
+        stored = result._coeffs
+        assert all(type(e) is int and type(c) is int and c for e, c in stored.items())
+        assert result == LaurentPoly(dict(result.items()))
+
+
+def test_a_sum_that_cancels_stores_nothing():
+    total = q(1) + q(1, -1)
+    assert not total
+    assert len(total) == 0
+    assert not (q(0) + q(-1)).times_binomial(0)
