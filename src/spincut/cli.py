@@ -136,13 +136,11 @@ def _sphere_summary(k: int, n: int) -> str:
 
 def _cmd_sphere(args: argparse.Namespace) -> int:
     k, n = args.k, args.n
-    printed = False
     spaces = [(k, n)]
     if args.cut:
         spaces += sphere_catalogue.cut_identity(k, n)
         name, plus, minus = (sphere_catalogue.label(*space) for space in spaces)
         print(f"({name})+ = {plus}, ({name})- = {minus}")
-        printed = True
     if args.diagram:
         for space in spaces:
             if args.cut:
@@ -150,13 +148,11 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
             char = character_rational(sphere_catalogue.sphere_data(*space))
             for line in render_diagram(char):
                 print(line)
-        printed = True
     if args.emit:
         Path(args.emit).write_text(
             serialize_dataset(sphere_catalogue.sphere_data(k, n)), encoding="utf-8"
         )
-        printed = True
-    if not printed:
+    if not (args.cut or args.diagram or args.emit):
         print(_sphere_summary(k, n))
     return 0
 

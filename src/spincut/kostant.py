@@ -103,22 +103,10 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
         # given exactly by Newton's forward differences at j = 0..m-1.
         period = lcm(*alphas)
         threshold = len(alphas) * period
-        # Below the threshold the level peeling a_k loops at most
-        # prod_{j>=k}(n // a_j + 1) times in all, so while (m - 2) times that
-        # product for k = 3 at the threshold is within the limit, no near
-        # count can be refused and near counts skip the charge (a list and a
-        # test per level, a large share of a short peel).  The product stops
-        # once past the limit: in full it can have millions of digits.
-        bound = len(alphas) - 2
-        for a in alphas[2:]:
-            bound *= threshold // a + 1
-            if bound > MAX_COUNT_STEPS:
-                break
-        charged = bound > MAX_COUNT_STEPS
 
         def count(n: int) -> int:
             if n < threshold:
-                return _peel(alphas, [0] if charged else None, n)
+                return _peel(alphas, [0], n)
             j, r = divmod(n, period)
             return sum(d * comb(j, k) for k, d in enumerate(_differences(alphas, r)))
 
@@ -140,20 +128,19 @@ def _differences(alphas: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(heads)
 
 
-def _peel(alphas: tuple[int, ...], spent: list[int] | None, n: int) -> int:
+def _peel(alphas: tuple[int, ...], spent: list[int], n: int) -> int:
     # alphas is sorted ascending, at least three; the largest weight is peeled
     # first, so the loop runs the fewest times and ends on the pair counter.
     # Each level adds its loop iterations to spent[0] before it loops, so the
-    # charges sum to the peel's steps; spent is None where none can bind.
-    # The next level is a positional partial under map, one frame per level:
-    # a generator or a keyword argument would take two.
+    # charges sum to the peel's steps.  The next level is a positional
+    # partial under map, one frame per level: a generator or a keyword
+    # argument would take two.
     rest, last = alphas[:-1], alphas[-1]
-    if spent is not None:
-        spent[0] += n // last + 1
-        if spent[0] > MAX_COUNT_STEPS:
-            raise InvalidDataError(
-                f"a count needs more than {MAX_COUNT_STEPS} steps, the counting limit"
-            )
+    spent[0] += n // last + 1
+    if spent[0] > MAX_COUNT_STEPS:
+        raise InvalidDataError(
+            f"a count needs more than {MAX_COUNT_STEPS} steps, the counting limit"
+        )
     count_rest = _counter(rest) if len(rest) == 2 else partial(_peel, rest, spent)
     return sum(map(count_rest, range(n, -1, -last)))
 

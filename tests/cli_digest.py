@@ -18,12 +18,12 @@ with weights 1, 2, 4, ..., which passes the product limit.  On each:
 with and without --paper-signs, then `cut` and `check-additivity` with and
 without --paper-signs; plus `sphere --cut --diagram` over the grid.  Four
 more points get only `quantize --beta` at each of BETAS, with and without
---paper-signs: m = 3 with weights (97, 101, 103), whose near counts all fit
-the counting limit, and (1000003, 1000033, 1000037), whose near counts the
-peel charges to it; m = 5 with weights (2, 3, 5, 7, 11), which peels three
-levels deep below m*lcm(weights), and (1, 1, 2, 3, 5), which interpolates
-above it.  Three more points get one `quantize --beta` each, with and
-without --paper-signs, that the counting route refuses with exit 1:
+--paper-signs: m = 3 with weights (97, 101, 103) and (1000003, 1000033,
+1000037), whose counts the peel charges to the counting limit like every
+other; m = 5 with weights (2, 3, 5, 7, 11), which peels three levels deep
+below m*lcm(weights), and (1, 1, 2, 3, 5), which interpolates above it.
+Three more points get one `quantize --beta` each, with and without
+--paper-signs, that the counting route refuses with exit 1:
 (1000003, 1000033, 1000037) at the depth 10^16, past the counting limit at
 the first level; (1000, 1001, 1002, 1003) at beta -2950000, just past the
 limit, so its peel charges levels for about a second before it stops; and

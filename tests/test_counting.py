@@ -309,6 +309,18 @@ def test_a_count_past_the_counting_limit_raises_on_every_call(counting_limit):
             count(weights, first)
 
 
+def test_a_cached_counter_obeys_a_lowered_limit(counting_limit, monkeypatch):
+    # (1, 2, 3) at depth 17, below the threshold 18: the peel takes
+    # 17 // 3 + 1 = 6 steps.  The plan and its counter, built under the
+    # default limit, stay cached when the limit falls to 3, and the count is
+    # still charged.  counting_limit only empties the caches afterwards.
+    data = FixedPointData(3, (IsolatedFixedPoint((1, 2, 3), 6, 1),))
+    assert multiplicity(data, -17) == 33
+    monkeypatch.setattr(kostant, "MAX_COUNT_STEPS", 3)
+    with pytest.raises(InvalidDataError, match="a count needs more than 3 steps"):
+        multiplicity(data, -17)
+
+
 def test_a_count_is_refused_exactly_when_its_steps_pass_the_limit(counting_limit):
     # A near count takes its peel's loop iterations; a far one the sum over
     # its residue's m samples r + j*lcm.  Limits within 3 of the steps, on
@@ -347,10 +359,11 @@ def test_a_peel_level_takes_one_frame_of_the_recursion():
     assert count((1,) * 900, 0) == 1
 
 
-def test_many_large_weights_decide_their_charge_at_once():
-    # 400 odd weights near 10^18 have an lcm of about 22000 bits; the bound
-    # that decides whether near counts are charged stops at the limit
-    # instead of multiplying out 398 such factors (27 s).
+def test_a_counter_of_many_large_weights_is_built_cheaply():
+    # 400 odd weights near 10^18 have an lcm of about 22000 bits.  Building
+    # their counter must take that lcm once and multiply out no factors of
+    # its size (a product of 398 of them takes 27 s); a count at depth 0
+    # then peels one step per level.
     started = time.perf_counter()
     assert count(tuple(10**18 + 2 * i + 1 for i in range(400)), 0) == 1
     assert time.perf_counter() - started < 5
