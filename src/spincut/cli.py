@@ -8,8 +8,9 @@ Commands:
     validate          structural validation report for a dataset file
 
 Exit codes: 0 success, 1 malformed or invalid input (a malformed command
-line included, and a character past the output-support limit), 2 unrealizable
-data (exact division failed or a half weight leaked), 3 additivity failure.
+line included, a character past the output-support limit, and a number to
+print past the interpreter's digit limit), 2 unrealizable data (exact
+division failed or a half weight leaked), 3 additivity failure.
 All output is deterministic.
 
 main may be called any number of times in one process: it builds the
@@ -25,7 +26,6 @@ import sys
 from pathlib import Path
 
 from .cutting import build_cut_data, check_additivity
-from .diagram import render_diagram
 from .documents import (
     DocumentSyntaxError,
     SchemaError,
@@ -41,7 +41,7 @@ from .fixed_points import (
 )
 from .kostant import NonIntegerMultiplicityError, character_rational, multiplicity
 from .laurent import LaurentPoly, NotDivisibleError, SupportLimitError
-from . import sphere as sphere_catalogue
+from . import laurent, sphere as sphere_catalogue
 
 
 def format_character_report(char: LaurentPoly) -> str:
@@ -49,6 +49,34 @@ def format_character_report(char: LaurentPoly) -> str:
     if not char:
         return "(zero representation)"
     return "\n".join(f"{weight}: {mult}" for weight, mult in char.items())
+
+
+def render_diagram(char: LaurentPoly) -> list[str]:
+    """Two rows: multiplicities with explicit signs, then integer tick labels.
+
+    Ticks run from one below the support to one above it (around 0 for the
+    zero character, whose multiplicity row is empty).  Columns share a fixed
+    width, one space wider than the longest label, so every multiplicity
+    lines up over its weight.  A support spanning more than
+    MAX_QUOTIENT_TERMS weights raises SupportLimitError before any row is
+    built.
+    """
+    support = char.support()
+    if not support:
+        ticks = [-1, 0, 1]
+    elif support[-1] - support[0] + 1 > laurent.MAX_QUOTIENT_TERMS:
+        raise SupportLimitError(
+            f"the diagram spans more than {laurent.MAX_QUOTIENT_TERMS} weights, "
+            "the output-support limit"
+        )
+    else:
+        ticks = list(range(support[0] - 1, support[-1] + 2))
+    mults = {w: format(char.multiplicity(w), "+d") for w in support}
+    labels = [str(t) for t in ticks] + list(mults.values())
+    width = 1 + max(len(text) for text in labels)
+    mult_row = "".join(mults.get(t, "").rjust(width) for t in ticks).rstrip()
+    axis_row = "".join(str(t).rjust(width) for t in ticks)
+    return [mult_row, axis_row]
 
 
 def _signed(value: int) -> str:
@@ -78,7 +106,6 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     if args.flip_codim2_signs:
         data = flip_codim2_signs(data)
     if args.beta is not None:
-        # Counting path: one partition query per component.
         print(multiplicity(data, args.beta))
     elif args.diagram:
         for line in render_diagram(character_rational(data)):
@@ -88,19 +115,21 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cut(args: argparse.Namespace) -> int:
+def _load_cut(args: argparse.Namespace) -> tuple[FixedPointData, ...]:
     data = _load_dataset(args.input)
     spec = parse_cut_spec(Path(args.spec).read_bytes())
-    plus, minus = build_cut_data(data, spec)
+    return (data, *build_cut_data(data, spec))
+
+
+def _cmd_cut(args: argparse.Namespace) -> int:
+    _, plus, minus = _load_cut(args)
     Path(args.out_plus).write_text(serialize_dataset(plus), encoding="utf-8")
     Path(args.out_minus).write_text(serialize_dataset(minus), encoding="utf-8")
     return 0
 
 
 def _cmd_check_additivity(args: argparse.Namespace) -> int:
-    data = _load_dataset(args.input)
-    spec = parse_cut_spec(Path(args.spec).read_bytes())
-    plus, minus = build_cut_data(data, spec)
+    data, plus, minus = _load_cut(args)
     if args.flip_codim2_signs:
         # After the cut, so the reduced components it adds flip as well.
         data, plus, minus = (flip_codim2_signs(d) for d in (data, plus, minus))
@@ -237,3 +266,14 @@ def main(argv: list[str] | None = None) -> int:
     except (NotDivisibleError, NonIntegerMultiplicityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # str() of a computed int longer than the parser's own digit limit.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(
+            f"error: a number to print has more than {limit} digits, "
+            "the integer string conversion limit",
+            file=sys.stderr,
+        )
+        return 1

@@ -16,7 +16,11 @@ realizable datasets (seed 7), CP^1..CP^4, and one m = 1 file of 21 points
 with weights 1, 2, 4, ..., which passes the product limit.  On each:
 `quantize` with --character, --diagram and --beta at each of BETAS, each
 with and without --paper-signs, then `cut` and `check-additivity` with and
-without --paper-signs; plus `sphere --cut --diagram` over the grid.  Four
+without --paper-signs; plus `sphere --cut --diagram` over the grid.  One
+m = 2 point with weights (10^4300 - 1, 10^4300 - 1) and det_weight 1 joins
+that corpus: validation formats a weight sum of 4301 digits, past the
+interpreter's limit of integer string conversion, so every call on it
+exits 1.  Four
 more points get only `quantize --beta` at each of BETAS, with and without
 --paper-signs: m = 3 with weights (97, 101, 103) and (1000003, 1000033,
 1000037), whose counts the peel charges to the counting limit like every
@@ -34,7 +38,10 @@ surfaces get only `quantize --beta` at each of BETAS, with and without
 on their steps, and the pair (2, 2, 40, 1, 2*10^6 + 2, 10^6) and (2, -2,
 20, 1, -10^6, -10^6), one of them polarized by a flip, whose Chern numbers
 near 10^6 give a count of -4499999 at beta 3, also queried at beta -10^9,
-far below both tops.  One isolated point with 300 weights of 1 and
+far below both tops.  A fourth, Codim2Component(2, 1, 2*10^4299 + 1, 1,
+0, 10^4299), gets only `quantize --beta 0`, with and without
+--paper-signs: its count of about 8600 digits is past the same limit
+(exit 1).  One isolated point with 300 weights of 1 and
 det_weight 300, unrealizable, gets only `quantize --character`, with and
 without --paper-signs: its fold builds (1 - lambda^-1)^300 one binomial at a
 time, with coefficients up to C(300, 150), before the exact division refuses
@@ -43,20 +50,13 @@ file, so both checkouts are run on the same inputs.  BETAS reach -400 so
 that counting at m >= 3 passes the threshold m*lcm(weights) above which it
 interpolates the quasi-polynomial instead of peeling.  The file is not a test module; pytest does not collect it.
 
-With this corpus, a checkout and its parent both printed
+With this corpus, a checkout printed
 
-    4139 calls; exit codes 0: 3650, 1: 12, 2: 477; sha1 eeb0326ac1d57beaeaefb6b99e706eb6a55e943b
+    4158 calls; exit codes 0: 3650, 1: 31, 2: 477; sha1 31e7b1af12593b09ad03b08f8def9aedd09fecf7
 
-and CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 each printed that same line
-for the change: the digest needs neither pytest nor hypothesis, so it also
-checks interpreters that have no test tools.  Without the point of 300
-weights of 1 the corpus printed
-
-    4137 calls; exit codes 0: 3650, 1: 12, 2: 475; sha1 931429adb7d38eaccb4d73094a26e14f6532698d
-
-and without the three surface datasets as well
-
-    4105 calls; exit codes 0: 3630, 1: 12, 2: 463; sha1 badbc91787d4ea9fa98c2c99855245a95f90654e
+and CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 each printed that same line:
+the digest needs neither pytest nor hypothesis, so it also checks
+interpreters that have no test tools.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ def corpus():
             yield alternating(generators.projective_space(list(range(m + 1)), k))
     points = tuple(fixed_points.IsolatedFixedPoint((2**i,), 2**i, 1) for i in range(21))
     yield alternating(fixed_points.FixedPointData(1, points))
+    big = 10**4300 - 1
+    point = fixed_points.IsolatedFixedPoint((big, big), 1, 1)
+    yield alternating(fixed_points.FixedPointData(2, (point,)))
 
 
 def beta_only():
@@ -133,6 +136,7 @@ def beta_only():
             ),
             BETAS + (-(10**9),),
         ),
+        ((surface(2, 1, 2 * 10**4299 + 1, 1, 0, 10**4299),), (0,)),
     ):
         yield fixed_points.FixedPointData(2, (), surfaces), betas
 

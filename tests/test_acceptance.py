@@ -12,9 +12,8 @@ from __future__ import annotations
 import random
 import time
 
-from spincut.cli import format_character_report
+from spincut.cli import format_character_report, render_diagram
 from spincut.cutting import build_cut_data, check_additivity
-from spincut.diagram import render_diagram
 from spincut.documents import parse_dataset
 from spincut.fixed_points import polarize, validate
 from spincut.kostant import character_rational, character_series, multiplicity

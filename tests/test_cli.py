@@ -10,14 +10,13 @@ import time
 from pathlib import Path
 
 from spincut import cli, laurent
-from spincut.cli import format_additivity_report, format_character_report, main
+from spincut.cli import format_additivity_report, format_character_report, main, render_diagram
 from spincut.cutting import (
     CutSpecification,
     ReducedComponent,
     build_cut_data,
     check_additivity,
 )
-from spincut.diagram import render_diagram
 from spincut.documents import parse_dataset, serialize_cut_spec, serialize_dataset
 from spincut.fixed_points import (
     Codim2Component,
@@ -418,6 +417,32 @@ def test_beta_past_the_counting_recursion_exits_1(tmp_path, capsys):
     code, out, err = run_cli(capsys, "quantize", path, "--beta", "0")
     _assert_one_line_error(code, out, err)
     assert err == "error: 1500 weights are too many for the counting path's recursion\n"
+
+
+def test_a_number_past_the_print_limit_exits_1(tmp_path, capsys):
+    # The parser reads integers of up to the interpreter's digit limit, but
+    # the program can compute longer ones: the weight sum of a parity message,
+    # or a count of about twice the digits.
+    limit = sys.get_int_max_str_digits()
+    big = 10**limit - 1
+    point = FixedPointData(2, (IsolatedFixedPoint((big, big), 1, 1),))
+    point_path = write_dataset(tmp_path, point, "point.json")
+    spec_path = write_spec(tmp_path, CutSpecification({0: "plus"}))
+    surface = Codim2Component(2, 1, 2 * 10 ** (limit - 1) + 1, 1, 0, 10 ** (limit - 1))
+    surface_path = write_dataset(tmp_path, FixedPointData(2, (), (surface,)), "surface.json")
+    error = (
+        f"error: a number to print has more than {limit} digits, "
+        "the integer string conversion limit\n"
+    )
+    for argv in (
+        ("validate", point_path),
+        ("quantize", point_path),
+        ("check-additivity", point_path, spec_path),
+        ("quantize", surface_path, "--beta", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert err == error
 
 
 def test_beta_far_below_an_m3_point_is_counted_at_once(tmp_path, capsys):

@@ -5,7 +5,7 @@ import re
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spincut.diagram import render_diagram
+from spincut.cli import render_diagram
 from spincut.kostant import character_rational
 from spincut.laurent import LaurentPoly
 from spincut.sphere import sphere_data

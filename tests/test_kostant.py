@@ -195,9 +195,10 @@ def test_multiplicity_dim0_component_example():
 
 
 def test_dim0_component_matches_isolated_point():
+    # Through every route: counting, the series oracle and the closed forms.
     rng = random.Random(5)
-    for _ in range(30):
-        a = rng.randint(1, 4)
+    for _ in range(60):
+        a = rng.choice([-1, 1]) * rng.randint(1, 4)
         mu = rng.choice([v for v in range(-9, 10) if (v - a) % 2 == 0])
         sign = rng.choice([1, -1])
         as_comp = FixedPointData(
@@ -210,6 +211,7 @@ def test_dim0_component_matches_isolated_point():
         )
         for beta in range(-12, 13):
             assert multiplicity(as_comp, beta) == multiplicity(as_point, beta)
+        assert character_series(as_comp, (-12, 12)) == character_series(as_point, (-12, 12))
         n1, d1 = closed_form(as_comp.codim2[0])
         n2, d2 = closed_form(as_point.isolated[0])
         assert n1 * d2 == n2 * d1
