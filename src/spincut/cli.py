@@ -166,23 +166,26 @@ def _sphere_summary(k: int, n: int) -> str:
 def _cmd_sphere(args: argparse.Namespace) -> int:
     k, n = args.k, args.n
     spaces = [(k, n)]
+    # Every line is built before any is printed, so a space that fails
+    # leaves stdout empty.
+    lines = []
     if args.cut:
         spaces += sphere_catalogue.cut_identity(k, n)
         name, plus, minus = (sphere_catalogue.label(*space) for space in spaces)
-        print(f"({name})+ = {plus}, ({name})- = {minus}")
+        lines.append(f"({name})+ = {plus}, ({name})- = {minus}")
     if args.diagram:
         for space in spaces:
             if args.cut:
-                print(f"{sphere_catalogue.label(*space)}:")
-            char = character_rational(sphere_catalogue.sphere_data(*space))
-            for line in render_diagram(char):
-                print(line)
+                lines.append(f"{sphere_catalogue.label(*space)}:")
+            lines += render_diagram(character_rational(sphere_catalogue.sphere_data(*space)))
     if args.emit:
         Path(args.emit).write_text(
             serialize_dataset(sphere_catalogue.sphere_data(k, n)), encoding="utf-8"
         )
     if not (args.cut or args.diagram or args.emit):
-        print(_sphere_summary(k, n))
+        lines.append(_sphere_summary(k, n))
+    if lines:
+        print("\n".join(lines))
     return 0
 
 

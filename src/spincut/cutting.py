@@ -11,15 +11,10 @@ is carried over unchanged.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
-from .fixed_points import (
-    Codim2Component,
-    FixedPointData,
-    Frozen,
-    InvalidDataError,
-    require_valid,
-)
+from .fixed_points import Codim2Component, FixedPointData, InvalidDataError, require_valid
 from .kostant import character_rational
 from .laurent import LaurentPoly, NotDivisibleError
 
@@ -38,17 +33,17 @@ class ReducedComponent(NamedTuple):
     chern_nminus: int | None = None
 
 
-class CutSpecification(Frozen):
+class CutSpecification(namedtuple("CutSpecification", ("assignments", "reduced"))):
     """Side assignment per component index plus the reduced components.
 
     Assignments, pairs or a mapping, are stored sorted by index.  A repeated
     index is refused at construction, so a specification is a function from
-    index to side.
+    index to side; _make and _replace check it too.
     """
 
-    __slots__ = _fields = ("assignments", "reduced")
+    __slots__ = ()
 
-    def __init__(self, assignments: Mapping | Iterable, reduced: Iterable = ()) -> None:
+    def __new__(cls, assignments: Mapping | Iterable, reduced: Iterable = ()):
         pairs = assignments.items() if isinstance(assignments, Mapping) else assignments
         pairs = sorted(((int(k), v) for k, v in pairs), key=lambda pair: pair[0])
         for (index, _), (following, _) in zip(pairs, pairs[1:]):
@@ -56,8 +51,11 @@ class CutSpecification(Frozen):
                 raise InvalidDataError(
                     f"assignments.{index}: component {index} is assigned twice"
                 )
-        object.__setattr__(self, "assignments", tuple(pairs))
-        object.__setattr__(self, "reduced", tuple(reduced))
+        return super().__new__(cls, tuple(pairs), tuple(reduced))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CutSpecification:
+        return cls(*iterable)
 
 
 class AdditivityRow(NamedTuple):

@@ -11,8 +11,8 @@ Cut specification schema:
     {"assignments": {"<component index>": "plus"|"minus"}, "reduced": [record...]}
 
 A record is an IsolatedFixedPoint, Codim2Component or ReducedComponent.  The
-table _KEYS is the one home of each record's key names, their order and which
-are optional; one reader and one writer serve all three.
+table _KEYS reads each record's key names, their order and which are optional
+from the record's own fields; one reader and one writer serve all three.
 
 Parsing checks structure and types only (a key given twice in one object is a
 structural error).  Every other rule has one home: fixed_points.validate owns
@@ -131,22 +131,19 @@ def _require_list(obj: dict, path: str, key: str) -> list:
     return value
 
 
-# The one home of each record's JSON keys: in the order of the record's
-# named-tuple fields, which is also the canonical order on write, each marked
-# required (True) or optional (False).  An optional key reads as None when
-# absent and is left out on write when None.  "weights" is the one key whose
-# value is a list of integers; every other value is one integer.
+# The one home of each record's JSON keys is the record itself: its named-tuple
+# fields in order, which is also the canonical order on write, each spelled as
+# in _SPELLING if listed there, and required unless the field has a default.
+# An optional key reads as None when absent and is left out on write when
+# None.  "weights" is the one key whose value is a list of integers; every
+# other value is one integer.
+_SPELLING = {
+    "chern_l": "chern_L", "chern_n": "chern_N",
+    "chern_lred": "chern_Lred", "chern_nminus": "chern_Nminus",
+}
 _KEYS: dict[type, dict[str, bool]] = {
-    IsolatedFixedPoint: {"weights": True, "det_weight": True, "sign": True},
-    Codim2Component: {
-        "dim": True,
-        "normal_weight": True,
-        "det_weight": True,
-        "sign": True,
-        "chern_L": False,
-        "chern_N": False,
-    },
-    ReducedComponent: {"dim": True, "chern_Lred": False, "chern_Nminus": False},
+    kind: {_SPELLING.get(name, name): name not in kind._field_defaults for name in kind._fields}
+    for kind in (IsolatedFixedPoint, Codim2Component, ReducedComponent)
 }
 
 

@@ -7,7 +7,7 @@ normal weight).  Component indices used elsewhere (cut specifications,
 validation reports) refer to positions in the concatenated list, isolated
 entries first.
 
-The records are named tuples and two frozen classes, not dataclasses, which
+The records are named tuples and one frozen class, not dataclasses, which
 cost 14 of the 48 ms of `import spincut.cli` (CPython 3.11, no .pyc files).
 """
 
@@ -19,34 +19,6 @@ from typing import Iterable, NamedTuple
 
 class InvalidDataError(ValueError):
     """The operation needs data that passes validate()."""
-
-
-class Frozen:
-    """Equality, hash, repr, copies and immutability over _fields, as a frozen dataclass."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...]
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
 
 class IsolatedFixedPoint(NamedTuple):
@@ -73,14 +45,16 @@ class Codim2Component(NamedTuple):
     chern_n: int | None = None
 
 
-class FixedPointData(Frozen):
+class FixedPointData:
     """Half dimension m together with every fixed component.
 
-    Frozen; lists passed in, a point's weights included, are stored as
-    tuples.  The hash is computed once per instance, since the bounded caches
-    of polarize and the counting engine look a dataset up on every call, and
-    is never pickled or copied: hash(None), and so the hash of a dataset with
-    a dim-0 codim-2 component, may differ between processes.
+    Equality, hash, repr, copies and immutability over _fields, as a frozen
+    dataclass; unlike a named tuple it never equals a plain tuple.  Lists
+    passed in, a point's weights included, are stored as tuples.  The hash is
+    computed once per instance, since the bounded caches of polarize and the
+    counting engine look a dataset up on every call, and is never pickled or
+    copied: hash(None), and so the hash of a dataset with a dim-0 codim-2
+    component, may differ between processes.
     """
 
     _fields = ("half_dimension", "isolated", "codim2")
@@ -95,12 +69,30 @@ class FixedPointData(Frozen):
         for name, value in zip(self._fields, (half_dimension, isolated, tuple(codim2))):
             object.__setattr__(self, name, value)
 
+    def _values(self) -> tuple:
+        return self.half_dimension, self.isolated, self.codim2
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            object.__setattr__(self, "_hash", super().__hash__())
+            object.__setattr__(self, "_hash", hash(self._values()))
             return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def components(self) -> tuple[IsolatedFixedPoint | Codim2Component, ...]:
         """All components in index order: isolated first, then codim2."""

@@ -445,6 +445,25 @@ def test_a_number_past_the_print_limit_exits_1(tmp_path, capsys):
         assert err == error
 
 
+def test_sphere_cut_diagram_prints_nothing_when_a_later_space_fails(capsys, monkeypatch):
+    # The cut identity line is built first; then a diagram fails on the
+    # print limit (n = -1, the first space's) or the quotient limit (n = 0,
+    # after one diagram was built).  The limit is lowered so that the dense
+    # division stops early.
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 1000)
+    limit = sys.get_int_max_str_digits()
+    k = str(10**limit - 1)
+    errors = {
+        "-1": f"error: a number to print has more than {limit} digits, "
+        "the integer string conversion limit\n",
+        "0": "error: the quotient has more than 1000 terms, the output-support limit\n",
+    }
+    for n, error in errors.items():
+        code, out, err = run_cli(capsys, "sphere", "--k", k, "--n", n, "--cut", "--diagram")
+        _assert_one_line_error(code, out, err)
+        assert err == error
+
+
 def test_beta_far_below_an_m3_point_is_counted_at_once(tmp_path, capsys):
     # Three weights 1 count C(n + 2, 2) at n = -beta - 1; peeling one odd
     # multiple at a time took about a second per 10^6 of |beta|.

@@ -176,6 +176,13 @@ def test_repeated_index_never_reaches_a_document():
     # A spec that could be built would serialize with one side dropped.
     with pytest.raises(InvalidDataError, match="component 0 is assigned twice"):
         serialize_cut_spec(CutSpecification(assignments=[(0, "plus"), (1, "minus"), (0, "minus")]))
+    # The named tuple's own constructors check it too.
+    spec = CutSpecification({0: "plus", 1: "minus"})
+    repeated = ((0, "plus"), (0, "minus"))
+    for build in (lambda: spec._replace(assignments=repeated), lambda: spec._make((repeated, ()))):
+        with pytest.raises(InvalidDataError, match="component 0 is assigned twice"):
+            build()
+    assert spec._replace(reduced=[]) == spec and spec._make(spec) == spec
 
 
 def test_build_cut_data_rejects_bad_side():

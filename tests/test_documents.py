@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spincut import documents
 from spincut.cutting import CutSpecification, ReducedComponent, build_cut_data
 from spincut.documents import (
     DocumentSyntaxError,
@@ -328,6 +329,19 @@ GOOD_RECORDS = {
     },
     "reduced": {"dim": 2, "chern_Lred": 1, "chern_Nminus": 0},
 }
+
+
+def test_record_keys_are_pinned_as_data():
+    # _KEYS is read from the record fields, so a renamed field fails here
+    # instead of silently changing the file format.
+    kinds = {"isolated": IsolatedFixedPoint, "codim2": Codim2Component, "reduced": ReducedComponent}
+    assert list(documents._KEYS) == list(kinds.values())
+    table = [
+        (list_key, key, required)
+        for list_key, kind in kinds.items()
+        for key, required in documents._KEYS[kind].items()
+    ]
+    assert table == RECORD_KEYS
 
 
 def _parse_with_second_record(list_key: str, record: dict):
