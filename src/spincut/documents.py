@@ -13,6 +13,7 @@ Cut specification schema:
 A record is an IsolatedFixedPoint, Codim2Component or ReducedComponent.  The
 table _KEYS reads each record's key names, their order and which are optional
 from the record's own fields; one reader and one writer serve all three.
+The top-level keys are the fields of FixedPointData and CutSpecification.
 
 Parsing checks structure and types only (a key given twice in one object is a
 structural error).  Every other rule has one home: fixed_points.validate owns
@@ -181,9 +182,7 @@ def _entry(record: Any) -> dict[str, Any]:
 
 def parse_dataset(text: str | bytes) -> FixedPointData:
     """Parse a dataset document into FixedPointData (types checked, not semantics)."""
-    doc = _require_object(
-        _load_json(text), "dataset", {"half_dimension", "isolated", "codim2"}
-    )
+    doc = _require_object(_load_json(text), "dataset", FixedPointData._fields)
     if "half_dimension" not in doc:
         raise SchemaError("dataset.half_dimension", "required field is missing")
     return FixedPointData(
@@ -209,7 +208,7 @@ def parse_cut_spec(text: str | bytes) -> CutSpecification:
     An index is ASCII decimal digits with an optional minus sign.  A repeated
     index, under any spelling, raises InvalidDataError from CutSpecification.
     """
-    doc = _require_object(_load_json(text), "cutspec", {"assignments", "reduced"})
+    doc = _require_object(_load_json(text), "cutspec", CutSpecification._fields)
     if "assignments" not in doc or not isinstance(doc["assignments"], dict):
         raise SchemaError("cutspec.assignments", "expected an object")
     assignments = []

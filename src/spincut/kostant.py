@@ -18,8 +18,8 @@ caches, and fixed_points.polarize keeps its own, so a sweep of weights over
 one dataset, polarized by the caller or not, validates it once.  The
 rational route assembles every component's closed form over a common
 denominator, divides exactly, and reads off the whole character at once.
-Each closed form's denominator is a product of binomials 1 - lambda^-a
-(times 2 for a surface), and the running numerator and denominator are
+Each closed form's denominator is a product of binomials 1 - lambda^-a,
+and the running numerator and denominator are
 multiplied by one binomial at a time, so a component with m weights costs
 O(m * |den|).  A truncated geometric series gives a third, deliberately
 brute-force oracle.  The counting route and the oracle expand
@@ -35,11 +35,11 @@ integer.  The counting route reads each component at the depth n = top -
 beta below its top weight, (mu - sum alpha)/2 for an isolated point and
 (mu - alpha)/2 for a codimension-2 one, so it counts nonnegative integers:
 k_j = e_j + 1/2 and sum e_j*alpha_j = n (coin exchange).  Only the plan's
-coefficients and the oracle's sums stay doubled, and integrality is
-asserted only on final multiplicities.  A dim-0 codimension-2 component
-contributes exactly like the isolated point with the same data; the paper's
-opposite sign convention is fixed_points.flip_codim2_signs applied to the
-data.
+coefficients, the oracle's sums and the rational route's numerators stay
+doubled, and integrality is asserted only on final multiplicities.  A dim-0
+codimension-2 component contributes exactly like the isolated point with
+the same data; the paper's opposite sign convention is
+fixed_points.flip_codim2_signs applied to the data.
 """
 
 from __future__ import annotations
@@ -208,17 +208,17 @@ def _counting_plan(data: FixedPointData) -> _Plan:
 
 def component_term(
     comp: IsolatedFixedPoint | Codim2Component,
-) -> tuple[dict[int, int], tuple[int, ...], int]:
-    """Closed-form rational contribution of a single component, in lambda.
+) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Twice a component's closed-form rational contribution, in lambda.
 
-    Returned factored as (numerator, binomial weights, constant): the
-    contribution is numerator / (constant * prod_a (1 - lambda^-a)) over the
-    binomial weights a, not reduced, with the numerator as a dict of its
-    nonzero terms, exponent to coefficient.  Isolated point: sign *
+    Returned factored as (numerator, binomial weights): twice the
+    contribution is numerator / prod_a (1 - lambda^-a) over the binomial
+    weights a, not reduced, with the numerator as a dict of its nonzero
+    terms, exponent to coefficient.  Isolated point: 2 * sign *
     lambda^((mu-sum alpha_j)/2) over the binomials of its weights alpha_j.
-    Point component: sign * lambda^((mu-alpha)/2) over 1 - lambda^-alpha.
+    Point component: 2 * sign * lambda^((mu-alpha)/2) over 1 - lambda^-alpha.
     Surface component, with x = lambda^-alpha:
-    sign * lambda^((mu-alpha)/2) * ((chern_l - 2*chern_n) - chern_l*x) / (2*(1-x)^2),
+    sign * lambda^((mu-alpha)/2) * ((chern_l - 2*chern_n) - chern_l*x) / (1-x)^2,
     which sums the doubled surface integrand (chern_l - chern_n) - 2k*chern_n
     times x^j over the steps k = j + 1/2 as a geometric series.
     The component must satisfy the parity rule of fixed_points.validate, which
@@ -227,31 +227,31 @@ def component_term(
     """
     if isinstance(comp, IsolatedFixedPoint):
         top = (comp.det_weight - sum(comp.weights)) // 2
-        return {top: comp.sign}, comp.weights, 1
+        return {top: 2 * comp.sign}, comp.weights
     alpha = comp.normal_weight
     top = (comp.det_weight - alpha) // 2
     if comp.dim == 0:
-        return {top: comp.sign}, (alpha,), 1
+        return {top: 2 * comp.sign}, (alpha,)
     numerator = {
         top: comp.sign * (comp.chern_l - 2 * comp.chern_n),
         top - alpha: -comp.sign * comp.chern_l,
     }
-    return {e: c for e, c in numerator.items() if c}, (alpha, alpha), 2
+    return {e: c for e, c in numerator.items() if c}, (alpha, alpha)
 
 
 def character_rational(data: FixedPointData) -> LaurentPoly:
     """Full character by exact rational algebra in lambda.
 
-    Starting from 0/1, each component's n / (c * prod_a (1 - lambda^-a)) is
-    folded in by cross-multiplying, num/den + n/d = (num*d + n*den)/(den*d),
-    and the final numerator is divided exactly by the final denominator.  The
-    product with d is taken one binomial at a time (and once by the constant
-    c of a surface), so a component with m binomial weights costs
-    O(m * (len(num) + len(den))) instead of a product with the expanded d.
-    The quotient is the character itself.  The sum of fixed-point
-    contributions of a genuine closed manifold is a Laurent polynomial, so
-    exact division must succeed; NotDivisibleError therefore means the data
-    is not realizable.  Polarization is not required.
+    Starting from 0/1, each component's doubled n / prod_a (1 - lambda^-a)
+    is folded in by cross-multiplying, num/den + n/d = (num*d + n*den)/(den*d),
+    and the final numerator is divided exactly by 2 * den, which halves the
+    sum once.  The product with d is taken one binomial at a time, so a
+    component with m binomial weights costs O(m * (len(num) + len(den)))
+    instead of a product with the expanded d.  The quotient is the character
+    itself.  The sum of fixed-point contributions of a genuine closed
+    manifold is a Laurent polynomial, so exact division must succeed;
+    NotDivisibleError therefore means the data is not realizable, or that
+    its halves fail to cancel.  Polarization is not required.
     """
     # Imported here so that counting alone never compiles laurent: about
     # 1.2 ms of every fresh process that only counts (python -X importtime).
@@ -260,15 +260,12 @@ def character_rational(data: FixedPointData) -> LaurentPoly:
     require_valid(data)
     num, den = LaurentPoly(), LaurentPoly({0: 1})
     for comp in data.components():
-        n, weights, constant = component_term(comp)
+        n, weights = component_term(comp)
         added = LaurentPoly(n) * den
         for alpha in weights:
             num, den = num.times_binomial(alpha), den.times_binomial(alpha)
-        if constant != 1:
-            scale = LaurentPoly({0: constant})
-            num, den = scale * num, scale * den
         num = num + added
-    return exact_divide(num, den)
+    return exact_divide(num, LaurentPoly({0: 2}) * den)
 
 
 def character_series(data: FixedPointData, window: tuple[int, int]) -> dict[int, int]:

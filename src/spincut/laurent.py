@@ -159,17 +159,18 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
         raise ZeroDivisionError("division by the zero polynomial")
     if not numerator:
         return LaurentPoly()
-    den_top = denominator.max_exponent()
+    # The loop runs on exponents relative to each input's top, small however
+    # many digits the exponents have; the quotient is moved back at the end.
+    num_top, den_top = numerator.max_exponent(), denominator.max_exponent()
     den_lead = denominator.multiplicity(den_top)
     # Any exact quotient has its lowest exponent pinned by the input lows.
-    shift_floor = numerator.min_exponent() - denominator.min_exponent()
-    den_terms = tuple(denominator._coeffs.items())
-    remainder = dict(numerator._coeffs)
+    shift_floor = (numerator.min_exponent() - num_top) - (denominator.min_exponent() - den_top)
+    den_terms = [(e - den_top, c) for e, c in denominator._coeffs.items()]
+    remainder = {e - num_top: c for e, c in numerator._coeffs.items()}
     quotient: dict[int, int] = {}
     while remainder:
-        top = max(remainder)
-        shift = top - den_top
-        coeff, leftover = divmod(remainder[top], den_lead)
+        shift = max(remainder)
+        coeff, leftover = divmod(remainder[shift], den_lead)
         if leftover or shift < shift_floor:
             raise NotDivisibleError(
                 "remainder is nonzero: quotient is not a Laurent polynomial"
@@ -188,4 +189,5 @@ def exact_divide(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPol
             else:
                 remainder.pop(target, None)
     # Each quotient value is nonzero: a nonzero top over den_lead, exactly.
-    return LaurentPoly._adopt(quotient)
+    offset = num_top - den_top
+    return LaurentPoly._adopt({s + offset: c for s, c in quotient.items()})

@@ -42,17 +42,21 @@ far below both tops.  A fourth, Codim2Component(2, 1, 2*10^4299 + 1, 1,
 0, 10^4299), gets only `quantize --beta 0`, with and without
 --paper-signs: its count of about 8600 digits is past the same limit
 (exit 1).  One isolated point with 300 weights of 1 and
-det_weight 300, unrealizable, gets only `quantize --character`, with and
-without --paper-signs: its fold builds (1 - lambda^-1)^300 one binomial at a
-time, with coefficients up to C(300, 150), before the exact division refuses
-it (exit 2).  The random datasets come from generators.py next to this
-file, so both checkouts are run on the same inputs.  BETAS reach -400 so
+det_weight 300, unrealizable, gets only `quantize --character` and
+`--diagram`, with and without --paper-signs: its fold builds
+(1 - lambda^-1)^300 one binomial at a time, with coefficients up to
+C(300, 150), before the exact division refuses it (exit 2).  So does the
+mirrored surface pair Codim2Component(2, 1, 3, 1, 1, 1) and (2, 1, 1, -1,
+-1, 1), whose odd chern_l make its doubled character -lambda: only the final
+halving refuses it (exit 2).  The random datasets come from generators.py
+next to this file, so both checkouts are run on the same inputs.  BETAS reach -400 so
 that counting at m >= 3 passes the threshold m*lcm(weights) above which it
-interpolates the quasi-polynomial instead of peeling.  The file is not a test module; pytest does not collect it.
+interpolates the quasi-polynomial instead of peeling.  The file is not a
+test module; pytest does not collect it.
 
 With this corpus, a checkout printed
 
-    4158 calls; exit codes 0: 3650, 1: 31, 2: 477; sha1 31e7b1af12593b09ad03b08f8def9aedd09fecf7
+    4164 calls; exit codes 0: 3650, 1: 31, 2: 483; sha1 54d1a8ad60f7c6c71ea2fcecc7030cd94cd39f89
 
 and CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 each printed that same line:
 the digest needs neither pytest nor hypothesis, so it also checks
@@ -142,12 +146,17 @@ def beta_only():
 
 
 def character_only():
-    """Datasets queried only with --character: one isolated point with 300
-    weights of 1, unrealizable at det_weight 300."""
+    """Datasets queried only with --character and --diagram: one isolated
+    point with 300 weights of 1, unrealizable at det_weight 300, and a
+    mirrored pair of surfaces with odd chern_l whose doubled character is
+    -lambda."""
     from spincut import fixed_points
 
     point = fixed_points.IsolatedFixedPoint((1,) * 300, 300, 1)
     yield fixed_points.FixedPointData(300, (point,))
+    surface = fixed_points.Codim2Component
+    pair = (surface(2, 1, 3, 1, 1, 1), surface(2, 1, 1, -1, -1, 1))
+    yield fixed_points.FixedPointData(2, (), pair)
 
 
 def main() -> None:
@@ -201,6 +210,7 @@ def main() -> None:
             path.write_text(documents.serialize_dataset(data), encoding="utf-8")
             for signs in ((), ("--paper-signs",)):
                 call("quantize", str(path), "--character", *signs)
+                call("quantize", str(path), "--diagram", *signs)
         for k in range(-4, 5):
             for n in range(-4, 5):
                 call("sphere", "--k", str(k), "--n", str(n), "--cut", "--diagram")

@@ -22,8 +22,8 @@ weights.  Products CP^a x CP^b give mixed-weight data at m = a + b, with the
 convolution of the two Bott characters as their oracle.
 
 count reads one coin-exchange count through multiplicity, the counting
-route's only entry.  closed_form multiplies out the factored closed form
-that component_term returns.
+route's only entry.  closed_form multiplies out the factored, doubled
+closed form that component_term returns.
 
 Cut cases are assembled sideways: each side is an independently realizable
 set forced to contain the component its reduced cut component induces
@@ -206,13 +206,13 @@ def count(weights: Sequence[int], n: int) -> int:
 def closed_form(
     comp: IsolatedFixedPoint | Codim2Component,
 ) -> tuple[LaurentPoly, LaurentPoly]:
-    """A component's closed form as (numerator, denominator), multiplied out.
+    """Twice a component's closed form as (numerator, denominator), multiplied out.
 
-    component_term gives (numerator terms, binomial weights, constant); the
-    denominator is constant * prod_a (1 - lambda^-a) over the weights.
+    component_term gives (numerator terms, binomial weights); the
+    denominator is prod_a (1 - lambda^-a) over the weights.
     """
-    numerator, weights, constant = component_term(comp)
-    denominator = LaurentPoly({0: constant})
+    numerator, weights = component_term(comp)
+    denominator = LaurentPoly({0: 1})
     for a in weights:
         denominator = denominator * LaurentPoly({0: 1, -a: -1})
     return LaurentPoly(numerator), denominator

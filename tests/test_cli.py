@@ -464,6 +464,20 @@ def test_sphere_cut_diagram_prints_nothing_when_a_later_space_fails(capsys, monk
         assert err == error
 
 
+def test_quotient_limit_on_huge_exponents_arrives_at_once(capsys, monkeypatch):
+    # The dense quotient's exponents have 4300 digits.  On exponents relative
+    # to each input's top the division reaches this limit in about 0.14 s;
+    # on the exponents themselves it took 1.8 s (2-core VM).
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 1 << 17)
+    k = str(10 ** sys.get_int_max_str_digits() - 1)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "sphere", "--k", k, "--n", "0", "--cut", "--diagram")
+    elapsed = time.perf_counter() - started
+    _assert_one_line_error(code, out, err)
+    assert err == "error: the quotient has more than 131072 terms, the output-support limit\n"
+    assert elapsed < 0.6
+
+
 def test_beta_far_below_an_m3_point_is_counted_at_once(tmp_path, capsys):
     # Three weights 1 count C(n + 2, 2) at n = -beta - 1; peeling one odd
     # multiple at a time took about a second per 10^6 of |beta|.
@@ -663,10 +677,10 @@ def test_product_limit_stops_a_doubling_combine(tmp_path, capsys, monkeypatch):
 
 def test_product_limit_binds_per_binomial_step(tmp_path, capsys, monkeypatch):
     # Beyond m = 1 the fold multiplies by one binomial 1 - lambda^-a at a
-    # time (and by 2 for a surface), and each step is held to the limit.
-    # CP^2 needs at most 16 term pairs per step and a surface pair 8;
-    # multiplying by the expanded products (1 - x)(1 - y) and 2(1 - x)^2
-    # instead would need 24 and 9 at the largest step.
+    # time, and each step is held to the limit.  CP^2 needs at most 16 term
+    # pairs per step and a surface pair 8; multiplying by the expanded
+    # products (1 - x)(1 - y) and (1 - x)^2 instead would need 24 and 9 at
+    # the largest step.
     surfaces = (
         Codim2Component(2, 2, 6, 1, chern_l=2, chern_n=2),
         Codim2Component(2, 2, 2, -1, chern_l=-2, chern_n=2),

@@ -218,31 +218,31 @@ def test_dim0_component_matches_isolated_point():
 
 
 def test_component_term_lambda_forms():
-    # Each closed form in the circle variable lambda, factored as
-    # (numerator, binomial weights, constant) and multiplied out, unreduced.
+    # Twice each closed form in the circle variable lambda, factored as
+    # (numerator, binomial weights) and multiplied out, unreduced.
     point = IsolatedFixedPoint((1,), 1, 1)
-    assert component_term(point) == ({0: 1}, (1,), 1)
-    assert closed_form(point) == (LaurentPoly({0: 1}), LaurentPoly({0: 1, -1: -1}))
+    assert component_term(point) == ({0: 2}, (1,))
+    assert closed_form(point) == (LaurentPoly({0: 2}), LaurentPoly({0: 1, -1: -1}))
     # (3 - (1 - 2)) / 2 = 2; (1 - lambda^-1)(1 - lambda^2)
     point = IsolatedFixedPoint((1, -2), 3, -1)
-    assert component_term(point) == ({2: -1}, (1, -2), 1)
+    assert component_term(point) == ({2: -2}, (1, -2))
     assert closed_form(point) == (
-        LaurentPoly({2: -1}),
+        LaurentPoly({2: -2}),
         LaurentPoly({1: 1, 0: 1, -1: -1, 2: -1}),
     )
     comp = Codim2Component(dim=0, normal_weight=2, det_weight=4, sign=-1)
-    assert component_term(comp) == ({1: -1}, (2,), 1)
-    assert closed_form(comp) == (LaurentPoly({1: -1}), LaurentPoly({0: 1, -2: -1}))
-    # lambda * ((5 - 2) - 5 lambda^-1) / (2 (1 - lambda^-1)^2)
+    assert component_term(comp) == ({1: -2}, (2,))
+    assert closed_form(comp) == (LaurentPoly({1: -2}), LaurentPoly({0: 1, -2: -1}))
+    # lambda * ((5 - 2) - 5 lambda^-1) / (1 - lambda^-1)^2
     comp = Codim2Component(2, 1, 3, 1, chern_l=5, chern_n=1)
-    assert component_term(comp) == ({1: 3, 0: -5}, (1, 1), 2)
+    assert component_term(comp) == ({1: 3, 0: -5}, (1, 1))
     assert closed_form(comp) == (
         LaurentPoly({1: 3, 0: -5}),
-        LaurentPoly({0: 2, -1: -4, -2: 2}),
+        LaurentPoly({0: 1, -1: -2, -2: 1}),
     )
     # chern_l = 2*chern_n: the numerator keeps only its nonzero term.
     comp = Codim2Component(2, 1, 3, 1, chern_l=2, chern_n=1)
-    assert component_term(comp) == ({0: -2}, (1, 1), 2)
+    assert component_term(comp) == ({0: -2}, (1, 1))
 
 
 def test_character_rational_examples():
@@ -408,19 +408,20 @@ def test_character_rational_ignores_component_order():
 
 
 def test_half_multiplicity_is_flagged_everywhere():
-    # an odd chern_l makes the lone surface contribute genuine halves
-    data = FixedPointData(
-        half_dimension=2,
-        codim2=(
-            Codim2Component(dim=2, normal_weight=1, det_weight=1, sign=1, chern_l=1, chern_n=0),
-        ),
-    )
-    with pytest.raises(NonIntegerMultiplicityError):
-        multiplicity(data, 0)
-    with pytest.raises(NonIntegerMultiplicityError):
-        character_series(data, (-5, 5))
-    with pytest.raises(NotDivisibleError):
-        character_rational(data)
+    # An odd chern_l makes a lone surface contribute genuine halves.  The
+    # mirrored pair's doubled character is the polynomial -lambda, so only
+    # the final halving refuses it.
+    lone = (Codim2Component(2, 1, 1, 1, chern_l=1, chern_n=0),)
+    pair = (Codim2Component(2, 1, 3, 1, 1, 1), Codim2Component(2, 1, 1, -1, -1, 1))
+    for codim2, beta, window in ((lone, 0, (0, 5)), (pair, 1, (-5, 5))):
+        data = FixedPointData(half_dimension=2, codim2=codim2)
+        message = f"half multiplicity at weight {beta}:"
+        with pytest.raises(NonIntegerMultiplicityError, match=message):
+            multiplicity(data, beta)
+        with pytest.raises(NonIntegerMultiplicityError, match=message):
+            character_series(data, window)
+        with pytest.raises(NotDivisibleError):
+            character_rational(data)
 
 
 def test_paper_signs_negates_pure_codim2_character():

@@ -47,6 +47,19 @@ def test_exact_divide_examples():
         exact_divide(q(2) + q(0), q(1) + q(0, -1))
 
 
+def test_exact_divide_counts_quotient_terms_not_their_span(monkeypatch):
+    # Two quotient terms 2*10^4000 apart pass a two-term limit, and the
+    # quotient keeps its absolute exponents; a third term is refused.
+    far = 10**4000
+    den = q(far + 1) + q(far, -1)
+    sparse = q(far) + q(-far, 3)
+    two, three = sparse * den, (sparse + q(0)) * den
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 2)
+    assert exact_divide(two, den) == sparse
+    with pytest.raises(SupportLimitError, match="more than 2 terms"):
+        exact_divide(three, den)
+
+
 def test_exact_divide_zero_numerator_and_zero_denominator():
     assert exact_divide(LaurentPoly(), q(1)) == LaurentPoly()
     with pytest.raises(ZeroDivisionError):
