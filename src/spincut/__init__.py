@@ -4,9 +4,9 @@ The package computes the virtual character of a quantized circle action from
 the combinatorial shadow of a manifold (isolated fixed points and
 codimension-2 fixed components), cuts that data in two, and checks that
 quantization is additive under cutting.  Two independent engines (partition
-counting and exact rational algebra) plus a brute-force series oracle keep
-each other honest.  Importing the package loads no submodule; each name of
-__all__ loads its module on first use.
+counting and exact rational algebra) and the test suite's series oracle
+keep each other honest.  Importing the package loads no submodule; each
+name of __all__ loads its module on first use.
 """
 
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ Commands:
 Exit codes: 0 success, 1 malformed or invalid input (a malformed command
 line included, a character past the output-support limit, and a number to
 print past the interpreter's digit limit), 2 unrealizable data (exact
-division failed or a half weight leaked), 3 additivity failure.
-All output is deterministic.
+division failed or a half weight leaked), 3 additivity failure: an engine
+fault, since build_cut_data makes char(plus) + char(minus) = char(data) an
+identity.  All output is deterministic.
 
 main may be called any number of times in one process: it builds the
 argparse parser on its first call and reuses it, since a parse keeps its

@@ -19,14 +19,12 @@ one dataset, polarized by the caller or not, validates it once.  The
 rational route assembles every component's closed form over a common
 denominator, divides exactly, and reads off the whole character at once.
 Each closed form's denominator is a product of binomials 1 - lambda^-a,
-and the running numerator and denominator are
-multiplied by one binomial at a time, so a component with m weights costs
-O(m * |den|).  A truncated geometric series gives a third, deliberately
-brute-force oracle.  The counting route and the oracle expand
-every weight in its positive direction, so each takes any valid data and
-works on its polarization (fixed_points.polarize); the rational route needs
-none.  The rational route loads the laurent module on first use, so callers
-that only count never compile it.
+and the running numerator and denominator are multiplied by one binomial at
+a time, so a component with m weights costs O(m * |den|).  The counting
+route expands every weight in its positive direction, so it takes any valid
+data and works on its polarization (fixed_points.polarize); the rational
+route needs none.  The rational route loads the laurent module on first use,
+so callers that only count never compile it.
 
 Conventions.  The rational route works in the circle variable lambda of the
 laurent module: a character is its Laurent polynomial, the weight beta sits
@@ -35,11 +33,11 @@ integer.  The counting route reads each component at the depth n = top -
 beta below its top weight, (mu - sum alpha)/2 for an isolated point and
 (mu - alpha)/2 for a codimension-2 one, so it counts nonnegative integers:
 k_j = e_j + 1/2 and sum e_j*alpha_j = n (coin exchange).  Only the plan's
-coefficients, the oracle's sums and the rational route's numerators stay
-doubled, and integrality is asserted only on final multiplicities.  A dim-0
-codimension-2 component contributes exactly like the isolated point with
-the same data; the paper's opposite sign convention is
-fixed_points.flip_codim2_signs applied to the data.
+coefficients and the rational route's numerators stay doubled, and
+integrality is asserted only on final multiplicities.  A dim-0 codimension-2
+component contributes exactly like the isolated point with the same data;
+the paper's opposite sign convention is fixed_points.flip_codim2_signs
+applied to the data.
 """
 
 from __future__ import annotations
@@ -84,7 +82,8 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
     elif len(alphas) == 2:
         # Over a, b, n divided by their gcd, e1 is fixed modulo b, and the
         # solutions are its residue plus multiples of b while e1*a <= n
-        # (Sturmfels, "On vector partition functions", 1995).
+        # (Sturmfels, "On vector partition functions", 1995): none when
+        # e1*a > n, since n >= 0 and e1 < b then make the floor division -1.
         g = gcd(*alphas)
         a, b = alphas[0] // g, alphas[1] // g
         inverse = pow(a, -1, b)
@@ -94,7 +93,7 @@ def _counter(alphas: tuple[int, ...]) -> Callable[[int], int]:
                 return 0
             n //= g
             e1 = n * inverse % b
-            return (n // a - e1) // b + 1 if e1 * a <= n else 0
+            return (n // a - e1) // b + 1
 
     else:
         # For n >= 0 the coin-exchange count is a quasi-polynomial of degree
@@ -266,66 +265,3 @@ def character_rational(data: FixedPointData) -> LaurentPoly:
             num, den = num.times_binomial(alpha), den.times_binomial(alpha)
         num = num + added
     return exact_divide(num, LaurentPoly({0: 2}) * den)
-
-
-def character_series(data: FixedPointData, window: tuple[int, int]) -> dict[int, int]:
-    """Brute-force oracle: truncated geometric expansion over a finite window.
-
-    Expands every component term as a descending power series, truncated as
-    soon as weights drop below the window, and returns the nonzero
-    multiplicities inside [window[0], window[1]].  Takes any valid data and
-    expands its polarization.  Kept deliberately independent of the rational
-    route: no division happens here.
-    """
-    data = polarize(data)
-    lo, hi = window
-    if lo > hi:
-        raise ValueError(f"empty window {window}")
-    doubled: dict[int, int] = {}
-    for point in data.isolated:
-        top = (point.det_weight - sum(point.weights)) // 2
-        _expand_point(point.weights, 0, top, 2 * point.sign, lo, hi, doubled)
-    for comp in data.codim2:
-        weight = (comp.det_weight - comp.normal_weight) // 2
-        k_doubled = 1
-        while weight >= lo:
-            if weight <= hi:
-                # The paper's doubled integrand at k = k_doubled/2.
-                if comp.dim == 0:
-                    value = 2
-                else:
-                    value = (comp.chern_l - comp.chern_n) - k_doubled * comp.chern_n
-                doubled[weight] = doubled.get(weight, 0) + comp.sign * value
-            weight -= comp.normal_weight
-            k_doubled += 2
-    result: dict[int, int] = {}
-    for weight in sorted(doubled):
-        value = doubled[weight]
-        if value % 2:
-            raise NonIntegerMultiplicityError(
-                f"half multiplicity at weight {weight}: doubled total {value} is odd"
-            )
-        if value:
-            result[weight] = value // 2
-    return result
-
-
-def _expand_point(
-    weights: tuple[int, ...],
-    j: int,
-    weight: int,
-    value: int,
-    lo: int,
-    hi: int,
-    doubled: dict[int, int],
-) -> None:
-    # Each tangent line contributes the series q^-alpha + q^-3alpha + ...;
-    # in weight terms a drop of alpha*l for every l >= 0 beyond the top term.
-    if j == len(weights):
-        if lo <= weight <= hi:
-            doubled[weight] = doubled.get(weight, 0) + value
-        return
-    alpha = weights[j]
-    while weight >= lo:
-        _expand_point(weights, j + 1, weight, value, lo, hi, doubled)
-        weight -= alpha

@@ -34,23 +34,6 @@ def cut_identity(k: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (0, k + n), (k, -k)
 
 
-def canonical_cut_spec() -> CutSpecification:
-    """Equatorial cut of sphere_data: north to plus, south to minus.
-
-    Only this assignment reproduces the catalogue identity; the reduced
-    component's determinant weight 1 then matches the south pole of
-    P_{0,k+n} and the north pole of P_{k,-k}.
-    """
-    # Imported here so that sphere_data alone never loads cutting, which
-    # loads both engines: counting a catalogue sphere never compiles laurent.
-    from .cutting import CutSpecification, ReducedComponent
-
-    return CutSpecification(
-        assignments={0: "plus", 1: "minus"},
-        reduced=(ReducedComponent(dim=0),),
-    )
-
-
 def label(k: int, n: int) -> str:
     """Display name of the structure, e.g. P_{1,2}."""
     return f"P_{{{k},{n}}}"

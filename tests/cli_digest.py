@@ -92,7 +92,7 @@ def corpus():
 
     for k in range(-4, 5):
         for n in range(-4, 5):
-            yield sphere.sphere_data(k, n), sphere.canonical_cut_spec()
+            yield sphere.sphere_data(k, n), generators.canonical_cut_spec()
     rng = random.Random(11)
     for _ in range(60):
         yield generators.cut_case(rng)

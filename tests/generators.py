@@ -25,10 +25,12 @@ count reads one coin-exchange count through multiplicity, the counting
 route's only entry.  closed_form multiplies out the factored, doubled
 closed form that component_term returns.
 
-Cut cases are assembled sideways: each side is an independently realizable
-set forced to contain the component its reduced cut component induces
-(normal weight 1, determinant weight 1, sign -1 on plus and +1 on minus);
-the dataset under test is the union of the carried components.
+canonical_cut_spec is the equatorial cut of the sphere catalogue, which
+splits P_{k,n} into P_{0,k+n} and P_{k,-k}.  Cut cases are assembled
+sideways: each side is an independently realizable set forced to contain
+the component its reduced cut component induces (normal weight 1,
+determinant weight 1, sign -1 on plus and +1 on minus); the dataset under
+test is the union of the carried components.
 
 Everything takes an explicit random.Random so test runs are reproducible.
 """
@@ -338,6 +340,19 @@ def _anchored_side_m2(
         1 if plus_side else -1,
         chern_l=chern_l + direction * 2 * c * chern_nminus,
         chern_n=chern_nminus,
+    )
+
+
+def canonical_cut_spec() -> CutSpecification:
+    """Equatorial cut of spincut.sphere.sphere_data: north to plus, south to minus.
+
+    Only this assignment reproduces the catalogue identity; the reduced
+    component's determinant weight 1 then matches the south pole of
+    P_{0,k+n} and the north pole of P_{k,-k}.
+    """
+    return CutSpecification(
+        assignments={0: "plus", 1: "minus"},
+        reduced=(ReducedComponent(dim=0),),
     )
 
 

@@ -16,22 +16,19 @@ from spincut.cli import format_character_report, render_diagram
 from spincut.cutting import build_cut_data, check_additivity
 from spincut.documents import parse_dataset
 from spincut.fixed_points import polarize, validate
-from spincut.kostant import character_rational, character_series, multiplicity
+from spincut.kostant import character_rational, multiplicity
 from spincut.laurent import LaurentPoly
-from spincut.sphere import (
-    canonical_cut_spec,
-    closed_form_multiplicity,
-    cut_identity,
-    sphere_data,
-)
+from spincut.sphere import closed_form_multiplicity, cut_identity, sphere_data
 
 from .generators import (
+    canonical_cut_spec,
     cut_case,
     mixed_sign_variant,
     parity_mutated_document,
     random_polarized_dataset,
     realizable_dataset,
 )
+from .series import character_series
 from .test_cli import run_cli, write_dataset, write_spec
 from .test_diagram import diagram_positions
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from spincut import cli, laurent
 from spincut.cli import format_additivity_report, format_character_report, main, render_diagram
 from spincut.cutting import (
+    AdditivityReport,
     CutSpecification,
     ReducedComponent,
     build_cut_data,
@@ -26,9 +27,9 @@ from spincut.fixed_points import (
 )
 from spincut.kostant import character_rational
 from spincut.laurent import LaurentPoly
-from spincut.sphere import canonical_cut_spec, sphere_data
+from spincut.sphere import sphere_data
 
-from .generators import projective_space, realizable_dataset
+from .generators import canonical_cut_spec, projective_space, realizable_dataset
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -752,6 +753,21 @@ def test_additivity_failure_formatting():
     assert "1: 0 = 1 + 1" in text
 
 
+def test_additivity_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # On a dataset and its cut specification, additivity is an identity, so
+    # only an engine fault fails it: stand one in that reports the true rows
+    # as failing.
+    def failing(data, plus, minus):
+        return AdditivityReport(False, check_additivity(data, plus, minus).rows)
+
+    monkeypatch.setattr(cli, "check_additivity", failing)
+    data_path = write_dataset(tmp_path, sphere_data(1, 2))
+    spec_path = write_spec(tmp_path, canonical_cut_spec())
+    code, out, err = run_cli(capsys, "check-additivity", data_path, spec_path)
+    assert (code, err) == (3, "")
+    assert out == "1: 0 = 1 + (-1)\n2: 1 = 1 + 0\n3: 1 = 1 + 0\nADDITIVITY FAILS\n"
+
+
 def test_sphere_cut_identity_line(capsys):
     code, out, _ = run_cli(capsys, "sphere", "--k", "1", "--n", "2", "--cut")
     assert code == 0
@@ -813,6 +829,18 @@ def test_dataset_dim_outside_0_and_2_is_reported_by_validation(tmp_path, capsys)
     for argv in (("quantize", str(path)), ("quantize", str(path), "--beta", "2")):
         expected = f"error: invalid dataset {path}:\n  {violation}"
         assert run_cli(capsys, *argv) == (1, "", expected)
+    # A second codim-2 entry is numbered past the first: isolated count plus
+    # its offset.
+    path.write_text(
+        serialize_dataset(sphere_data(1, 2)).replace(
+            '"codim2": []',
+            '"codim2": [{"dim": 0, "normal_weight": 1, "det_weight": 1, "sign": 1}, '
+            '{"dim": 3, "normal_weight": 1, "det_weight": 1, "sign": 1}]',
+        ),
+        encoding="utf-8",
+    )
+    violation = "component 3: dimension: dim must be 0 or 2, got 3\n"
+    assert run_cli(capsys, "validate", str(path)) == (1, "", violation)
 
 
 def test_validate_reports_violations(tmp_path, capsys):

@@ -31,9 +31,10 @@ from spincut.fixed_points import (
     IsolatedFixedPoint,
     polarize,
 )
-from spincut.kostant import character_rational, character_series, multiplicity
+from spincut.kostant import character_rational, multiplicity
 
 from .generators import count, mixed_sign_variant, projective_space, realizable_dataset
+from .series import character_series
 
 LIMIT = 3000
 

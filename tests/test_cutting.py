@@ -21,9 +21,9 @@ from spincut.fixed_points import (
 )
 from spincut.kostant import character_rational, multiplicity
 from spincut.laurent import LaurentPoly, NotDivisibleError
-from spincut.sphere import canonical_cut_spec, sphere_data
+from spincut.sphere import sphere_data
 
-from .generators import closed_form, cut_case
+from .generators import canonical_cut_spec, closed_form, cut_case
 
 
 def test_build_cut_data_sphere_example():

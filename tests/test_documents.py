@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -157,6 +158,7 @@ def test_syntax_error_carries_position():
 def test_undecodable_byte_is_a_syntax_error_at_its_position():
     for raw, position in (
         (b"\xff", (1, 1)),
+        (b"\n\xff", (2, 1)),
         (SPHERE_TEXT.encode("utf-8") + b"\xff", (SPHERE_TEXT.count("\n") + 1, 1)),
         # columns count characters, so the two-byte \u00e9 takes one
         ('{\n  "h\u00e9": '.encode("utf-8") + b"\xfe}", (2, 9)),
@@ -178,6 +180,19 @@ def test_integer_over_the_digit_limit_is_a_syntax_error():
     with pytest.raises(DocumentSyntaxError, match="integer longer than") as exc:
         parse_dataset(text.replace(digits, "-" + digits).encode("utf-8"))
     assert (exc.value.line, exc.value.column) == (3, 31)
+    # One digit past the limit is refused the same way; at the limit the
+    # integer parses, and the document fails on its missing weights.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DocumentSyntaxError, match=f"integer longer than {limit}") as exc:
+        parse_dataset(text.replace(digits, "7" * (limit + 1)))
+    assert (exc.value.line, exc.value.column) == (3, 31)
+    with pytest.raises(SchemaError, match="weights"):
+        parse_dataset(text.replace(digits, "7" * limit))
+    # The error points at the run past the limit, not at one of the limit.
+    text = '{"x": [' + "7" * limit + ", " + "7" * (limit + 1) + "]}"
+    with pytest.raises(DocumentSyntaxError, match="integer longer than") as exc:
+        parse_cut_spec(text)
+    assert exc.value.column == text.rindex(", ") + 3
     # Long fractions are floats, not integers; the error points past them.
     text = '{"x": [0.' + digits + ", " + digits + "]}"
     with pytest.raises(DocumentSyntaxError) as exc:

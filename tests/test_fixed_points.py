@@ -357,8 +357,8 @@ print(json.dumps(seen))
     assert seen["cached"] == names
     assert seen["star"] == names
     assert seen["unknown"] == "module 'spincut' has no attribute 'no_such_name'"
-    # The catalogue loads cutting, and through it both engines, only for
-    # its cut: counting a sphere never loads laurent.
+    # The catalogue imports only fixed_points: counting a sphere loads
+    # neither cutting nor laurent.
     child = """
 import json, sys
 from spincut import sphere_data
@@ -366,13 +366,9 @@ seen = {"sphere": sorted(name for name in sys.modules if name.startswith("spincu
 import spincut
 seen["count"] = spincut.multiplicity(sphere_data(1, 2), 2)
 seen["unloaded"] = sorted({"spincut.cutting", "spincut.laurent"} - set(sys.modules))
-from spincut.sphere import canonical_cut_spec
-seen["spec"] = repr(canonical_cut_spec())
 print(json.dumps(seen))
 """
     seen = json.loads(_fresh_process(child))
     assert seen["sphere"] == ["spincut", "spincut.fixed_points", "spincut.sphere"]
     assert seen["count"] == 1
     assert seen["unloaded"] == ["spincut.cutting", "spincut.laurent"]
-    spec = CutSpecification(assignments={0: "plus", 1: "minus"}, reduced=(ReducedComponent(0),))
-    assert seen["spec"] == repr(spec)

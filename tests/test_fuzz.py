@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from spincut.cli import main
 from spincut.documents import serialize_cut_spec, serialize_dataset
-from spincut.sphere import canonical_cut_spec, sphere_data
+from spincut.sphere import sphere_data
+
+from .generators import canonical_cut_spec
 
 SMALL = st.integers(-6, 6)
 WRONG = st.one_of(

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,7 +21,6 @@ from spincut.fixed_points import (
 from spincut.kostant import (
     NonIntegerMultiplicityError,
     character_rational,
-    character_series,
     component_term,
     multiplicity,
 )
@@ -36,6 +37,7 @@ from .generators import (
     random_polarized_dataset,
     realizable_dataset,
 )
+from .series import character_series
 
 
 def test_count_examples():
@@ -269,6 +271,23 @@ def test_character_series_examples():
 def test_character_series_requires_polarization_and_sane_window():
     with pytest.raises(ValueError):
         character_series(sphere_data(0, 1), (5, -5))
+
+
+def test_series_oracle_imports_no_engine():
+    # The oracle checks both engines, so it takes from spincut only the
+    # dataset type, polarize and the half-multiplicity error, and nothing
+    # from the test helpers, which call the engines.
+    tree = ast.parse((Path(__file__).parent / "series.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Import)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {(node.level, node.module, alias.name) for alias in node.names}
+    assert imported == {
+        (0, "spincut.fixed_points", "FixedPointData"),
+        (0, "spincut.fixed_points", "polarize"),
+        (0, "spincut.kostant", "NonIntegerMultiplicityError"),
+    }
 
 
 def test_geometric_simplification_identity():

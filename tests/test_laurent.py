@@ -32,6 +32,9 @@ def test_additive_inverse_cancels():
 def test_no_zero_coefficients_stored():
     p = LaurentPoly({2: 1, 3: 0, -1: 0})
     assert p.items() == ((2, 1),)
+    # pytest prints the repr when an equality assertion fails.
+    assert repr(LaurentPoly({3: -2, -1: 5, 0: 0})) == "LaurentPoly({-1: 5, 3: -2})"
+    assert repr(LaurentPoly()) == "LaurentPoly({})"
 
 
 def test_immutability():

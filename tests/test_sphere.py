@@ -2,13 +2,9 @@ from __future__ import annotations
 
 from spincut.cutting import ReducedComponent, build_cut_data
 from spincut.kostant import character_rational, multiplicity
-from spincut.sphere import (
-    canonical_cut_spec,
-    closed_form_multiplicity,
-    cut_identity,
-    label,
-    sphere_data,
-)
+from spincut.sphere import closed_form_multiplicity, cut_identity, label, sphere_data
+
+from .generators import canonical_cut_spec
 
 
 def test_sphere_data_examples():
