@@ -89,27 +89,22 @@ def build_cut_data(
     for index in range(total):
         if index not in sides:
             raise InvalidDataError(f"component {index} has no side assignment")
-    for i, reduced in enumerate(spec.reduced):
-        if reduced.dim not in (0, 2):
-            raise InvalidDataError(f"reduced[{i}].dim: expected 0 or 2, got {reduced.dim}")
-        if reduced.dim == 0:
-            if reduced.chern_lred is not None or reduced.chern_nminus is not None:
-                raise InvalidDataError(f"reduced[{i}]: dim-0 components carry no Chern numbers")
-            if data.half_dimension != 1:
-                raise InvalidDataError(
-                    f"reduced[{i}]: dim-0 reduced component requires half_dimension 1, "
-                    f"got {data.half_dimension}"
-                )
-        else:
-            if reduced.chern_lred is None or reduced.chern_nminus is None:
-                raise InvalidDataError(
-                    f"reduced[{i}]: dim-2 components need chern_Lred and chern_Nminus"
-                )
-            if data.half_dimension != 2:
-                raise InvalidDataError(
-                    f"reduced[{i}]: dim-2 reduced component requires half_dimension 2, "
-                    f"got {data.half_dimension}"
-                )
+    m = data.half_dimension
+    for i, (d, chern_lred, chern_nminus) in enumerate(spec.reduced):
+        if d not in (0, 2):
+            raise InvalidDataError(f"reduced[{i}].dim: expected 0 or 2, got {d}")
+        if d == 0 and (chern_lred is not None or chern_nminus is not None):
+            raise InvalidDataError(f"reduced[{i}]: dim-0 components carry no Chern numbers")
+        if d == 2 and (chern_lred is None or chern_nminus is None):
+            raise InvalidDataError(
+                f"reduced[{i}]: dim-2 components need chern_Lred and chern_Nminus"
+            )
+        # The reduced space is a codim-2 component of each half: dim 2m - 2.
+        if m != d // 2 + 1:
+            raise InvalidDataError(
+                f"reduced[{i}]: dim-{d} reduced component requires half_dimension {d // 2 + 1}, "
+                f"got {m}"
+            )
     base = len(data.isolated)
     halves = []
     for side, sign in (("plus", -1), ("minus", 1)):
@@ -121,7 +116,7 @@ def build_cut_data(
                 chern_l = reduced.chern_lred + reduced.chern_nminus
                 chern_n = reduced.chern_nminus
             codim2.append(Codim2Component(reduced.dim, 1, 1, sign, chern_l, chern_n))
-        halves.append(FixedPointData(data.half_dimension, tuple(isolated), tuple(codim2)))
+        halves.append(FixedPointData(m, tuple(isolated), tuple(codim2)))
     return halves[0], halves[1]
 
 

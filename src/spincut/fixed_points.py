@@ -159,34 +159,15 @@ def validate(data: FixedPointData) -> list[Violation]:
             )
         if sign not in (1, -1):
             out.append(Violation(index, "sign", f"sign must be +1 or -1, got {sign}"))
-        if dim == 0:
-            if m != 1:
-                out.append(
-                    Violation(
-                        index,
-                        "dimension",
-                        f"dim-0 components require half_dimension 1, got {m}",
-                    )
-                )
-            if chern_l is not None or chern_n is not None:
-                out.append(
-                    Violation(index, "chern-fields", "dim-0 components carry no Chern numbers")
-                )
-        elif dim == 2:
-            if m != 2:
-                out.append(
-                    Violation(
-                        index,
-                        "dimension",
-                        f"dim-2 components require half_dimension 2, got {m}",
-                    )
-                )
-            if chern_l is None or chern_n is None:
-                out.append(
-                    Violation(
-                        index, "chern-fields", "dim-2 components need chern_l and chern_n"
-                    )
-                )
+        # A codim-2 component of a 2m-manifold has dim 2m - 2.
+        if dim in (0, 2) and m != dim // 2 + 1:
+            message = f"dim-{dim} components require half_dimension {dim // 2 + 1}, got {m}"
+            out.append(Violation(index, "dimension", message))
+        if dim == 0 and (chern_l is not None or chern_n is not None):
+            out.append(Violation(index, "chern-fields", "dim-0 components carry no Chern numbers"))
+        if dim == 2 and (chern_l is None or chern_n is None):
+            message = "dim-2 components need chern_l and chern_n"
+            out.append(Violation(index, "chern-fields", message))
     return out
 
 

@@ -14,10 +14,11 @@ The corpus: the P_{k,n} grid for k, n in -4..4 with the equatorial cut, 60
 cut cases (seed 11), 40 random polarized datasets (seed 5), 40 mixed-sign
 realizable datasets (seed 7), CP^1..CP^4, and one m = 1 file of 21 points
 with weights 1, 2, 4, ..., which passes the product limit.  On each:
-`quantize` with --character, --diagram and --beta at each of BETAS, each
-with and without --paper-signs, then `cut` and `check-additivity` with and
-without --paper-signs; plus `sphere --cut --diagram` over the grid.  One
-m = 2 point with weights (10^4300 - 1, 10^4300 - 1) and det_weight 1 joins
+`validate`, `quantize` with --character, --diagram and --beta at each of
+BETAS, each with and without --paper-signs, then `cut` and
+`check-additivity` with and without --paper-signs; plus `sphere --cut
+--diagram` over the grid.  One m = 2 point with weights
+(10^4300 - 1, 10^4300 - 1) and det_weight 1 joins
 that corpus: validation formats a weight sum of 4301 digits, past the
 interpreter's limit of integer string conversion, so every call on it
 exits 1.  Four
@@ -49,14 +50,23 @@ C(300, 150), before the exact division refuses it (exit 2).  So does the
 mirrored surface pair Codim2Component(2, 1, 3, 1, 1, 1) and (2, 1, 1, -1,
 -1, 1), whose odd chern_l make its doubled character -lambda: only the final
 halving refuses it (exit 2).  The random datasets come from generators.py
-next to this file, so both checkouts are run on the same inputs.  BETAS reach -400 so
-that counting at m >= 3 passes the threshold m*lcm(weights) above which it
-interpolates the quasi-polynomial instead of peeling.  The file is not a
+next to this file, so both checkouts are run on the same inputs.  Nine
+datasets with one codim-2 component that validation refuses, each of dim
+1, dim 0 at m = 2 with and without Chern numbers, dim 2 at m = 1 with and
+without them, dim 0 at m = 1 with both or one of them, and dim 2 at m = 2
+with none or one, get `validate`, `quantize --character` and `quantize
+--beta 0` (exit 1).  Nine cut specs whose one reduced component the cut
+refuses get `cut` and `check-additivity` (exit 1): dim 3; dim 0 with both
+or one Chern number at m = 1 and with both at m = 2; dim 0 at m = 2; dim 2
+at m = 1; and dim 2 without Chern numbers at m = 1, and at m = 2 without
+them or with one.  BETAS reach -400 so that counting at m >= 3 passes the
+threshold m*lcm(weights) above which it interpolates the quasi-polynomial
+instead of peeling.  The file is not a
 test module; pytest does not collect it.
 
 With this corpus, a checkout printed
 
-    4164 calls; exit codes 0: 3650, 1: 31, 2: 483; sha1 54d1a8ad60f7c6c71ea2fcecc7030cd94cd39f89
+    4444 calls; exit codes 0: 3884, 1: 77, 2: 483; sha1 10803b66d2493aff83dfef5e87092692ab82c8d1
 
 and CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 each printed that same line:
 the digest needs neither pytest nor hypothesis, so it also checks
@@ -78,17 +88,23 @@ from pathlib import Path
 BETAS = (-400, -40, -2, 0, 3)
 
 
-def corpus():
-    """(dataset, cut spec) pairs; a dataset without its own cut gets one that
-    alternates sides and adds a point at m = 1.  Imports late, from --src."""
-    import generators
-    from spincut import cutting, fixed_points, sphere
+def alternating(data, reduced=None):
+    """(data, cut spec) whose spec alternates sides; the reduced components
+    default to one point at m = 1 and none at m = 2.  Imports late, from
+    --src, as every function here does."""
+    from spincut import cutting
 
-    def alternating(data):
-        count = len(data.components())
+    if reduced is None:
         reduced = (cutting.ReducedComponent(0),) if data.half_dimension == 1 else ()
-        sides = {i: "plus" if i % 2 == 0 else "minus" for i in range(count)}
-        return data, cutting.CutSpecification(sides, reduced)
+    sides = {i: "plus" if i % 2 == 0 else "minus" for i in range(len(data.components()))}
+    return data, cutting.CutSpecification(sides, reduced)
+
+
+def corpus():
+    """(dataset, cut spec) pairs; a dataset without its own cut gets the
+    alternating one."""
+    import generators
+    from spincut import fixed_points, sphere
 
     for k in range(-4, 5):
         for n in range(-4, 5):
@@ -159,6 +175,48 @@ def character_only():
     yield fixed_points.FixedPointData(2, (), pair)
 
 
+def invalid_codim2():
+    """Datasets whose one codim-2 component validation refuses for its
+    dimension or its Chern fields."""
+    from spincut import fixed_points
+
+    component = fixed_points.Codim2Component
+    for m, comp in (
+        (1, component(1, 1, 1, 1)),
+        (2, component(0, 1, 1, 1)),
+        (1, component(2, 1, 1, 1, 0, 0)),
+        (1, component(2, 1, 1, 1)),
+        (1, component(0, 1, 1, 1, 0, 0)),
+        (1, component(0, 1, 1, 1, None, 0)),
+        (2, component(0, 1, 1, 1, 0, 0)),
+        (2, component(2, 1, 1, 1)),
+        (2, component(2, 1, 1, 1, 0)),
+    ):
+        yield fixed_points.FixedPointData(m, (), (comp,))
+
+
+def invalid_reduced():
+    """Valid datasets at m = 1 and m = 2 with a cut spec whose one reduced
+    component the cut refuses for its dimension or its Chern fields."""
+    import generators
+    from spincut import cutting, sphere
+
+    reduced = cutting.ReducedComponent
+    m1, m2 = sphere.sphere_data(1, 2), generators.projective_space([0, 1, 2], 2)
+    for data, comp in (
+        (m1, reduced(3)),
+        (m1, reduced(0, 1, 0)),
+        (m1, reduced(0, None, 1)),
+        (m2, reduced(0, 1, 0)),
+        (m2, reduced(0)),
+        (m1, reduced(2, 0, 0)),
+        (m1, reduced(2)),
+        (m2, reduced(2)),
+        (m2, reduced(2, 1)),
+    ):
+        yield alternating(data, (comp,))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the src directory to run")
@@ -183,34 +241,50 @@ def main() -> None:
             record = (argv, code, out.getvalue(), err.getvalue())
             digest.update(repr(record).replace(tmp, "<tmp>").encode("utf-8"))
 
-        for index, (data, spec) in enumerate(corpus()):
-            path, spec_path = Path(tmp, f"{index}.json"), Path(tmp, f"{index}.cut.json")
+        def write(name: str, data, spec=None) -> tuple[str, str]:
+            path, spec_path = Path(tmp, f"{name}.json"), Path(tmp, f"{name}.cut.json")
             path.write_text(documents.serialize_dataset(data), encoding="utf-8")
-            spec_path.write_text(documents.serialize_cut_spec(spec), encoding="utf-8")
-            for signs in ((), ("--paper-signs",)):
-                call("quantize", str(path), "--character", *signs)
-                call("quantize", str(path), "--diagram", *signs)
-                for beta in BETAS:
-                    call("quantize", str(path), "--beta", str(beta), *signs)
-                call("check-additivity", str(path), str(spec_path), *signs)
+            if spec is not None:
+                spec_path.write_text(documents.serialize_cut_spec(spec), encoding="utf-8")
+            return str(path), str(spec_path)
+
+        def cut(path: str, spec_path: str) -> None:
             halves = [Path(tmp, "plus.json"), Path(tmp, "minus.json")]
             outs = ("--out-plus", str(halves[0]), "--out-minus", str(halves[1]))
-            call("cut", str(path), str(spec_path), *outs)
+            call("cut", path, spec_path, *outs)
             for half in halves:
                 digest.update(half.read_bytes() if half.exists() else b"(not written)")
                 half.unlink(missing_ok=True)
+
+        for index, (data, spec) in enumerate(corpus()):
+            path, spec_path = write(str(index), data, spec)
+            call("validate", path)
+            for signs in ((), ("--paper-signs",)):
+                call("quantize", path, "--character", *signs)
+                call("quantize", path, "--diagram", *signs)
+                for beta in BETAS:
+                    call("quantize", path, "--beta", str(beta), *signs)
+                call("check-additivity", path, spec_path, *signs)
+            cut(path, spec_path)
         for index, (data, betas) in enumerate(beta_only()):
-            path = Path(tmp, f"beta{index}.json")
-            path.write_text(documents.serialize_dataset(data), encoding="utf-8")
+            path, _ = write(f"beta{index}", data)
             for signs in ((), ("--paper-signs",)):
                 for beta in betas:
-                    call("quantize", str(path), "--beta", str(beta), *signs)
+                    call("quantize", path, "--beta", str(beta), *signs)
         for index, data in enumerate(character_only()):
-            path = Path(tmp, f"character{index}.json")
-            path.write_text(documents.serialize_dataset(data), encoding="utf-8")
+            path, _ = write(f"character{index}", data)
             for signs in ((), ("--paper-signs",)):
-                call("quantize", str(path), "--character", *signs)
-                call("quantize", str(path), "--diagram", *signs)
+                call("quantize", path, "--character", *signs)
+                call("quantize", path, "--diagram", *signs)
+        for index, data in enumerate(invalid_codim2()):
+            path, _ = write(f"codim2_{index}", data)
+            call("validate", path)
+            call("quantize", path, "--character")
+            call("quantize", path, "--beta", "0")
+        for index, (data, spec) in enumerate(invalid_reduced()):
+            path, spec_path = write(f"reduced{index}", data, spec)
+            cut(path, spec_path)
+            call("check-additivity", path, spec_path)
         for k in range(-4, 5):
             for n in range(-4, 5):
                 call("sphere", "--k", str(k), "--n", str(n), "--cut", "--diagram")

@@ -206,6 +206,17 @@ def test_nesting_past_the_recursion_limit_is_a_syntax_error():
     with pytest.raises(DocumentSyntaxError, match="nested 5004 levels deep") as exc:
         parse_dataset(text)
     assert (exc.value.line, exc.value.column) == (1, text.index("[[1]]") + 2)
+    # A bracket closing lowers the depth by one: the second line's run,
+    # inside the outer list, is 100001 deep.  Of two runs equally deep, the
+    # error points at the first.
+    n = 100000
+    run = "[" * n + "]" * n
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_dataset("[[[1]],\n" + run + "]")
+    assert str(exc.value).startswith("line 2, column 100000: nested 100001 levels deep")
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_dataset("[" + run + ",\n" + run + "]")
+    assert (exc.value.line, exc.value.column) == (1, 100001)
 
 
 def test_a_key_given_twice_is_a_schema_error():

@@ -63,6 +63,15 @@ def test_exact_divide_counts_quotient_terms_not_their_span(monkeypatch):
         exact_divide(three, den)
 
 
+def test_exact_divide_refuses_below_the_floor_before_the_term_limit(monkeypatch):
+    # (1 + x^-2) / (1 - x^-1) would need a third term at x^-2, below the
+    # lowest exponent any exact quotient can have (-2 - -1 = -1): that step
+    # is refused as indivisible, before the quotient reaches the limit.
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", 2)
+    with pytest.raises(NotDivisibleError):
+        exact_divide(q(0) + q(-2), q(0) + q(-1, -1))
+
+
 def test_exact_divide_zero_numerator_and_zero_denominator():
     assert exact_divide(LaurentPoly(), q(1)) == LaurentPoly()
     with pytest.raises(ZeroDivisionError):
