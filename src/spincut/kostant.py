@@ -20,7 +20,8 @@ rational route assembles every component's closed form over a common
 denominator, divides exactly, and reads off the whole character at once.
 Each closed form's denominator is a product of binomials 1 - lambda^-a,
 and the running numerator and denominator are multiplied by one binomial at
-a time, so a component with m weights costs O(m * |den|).  The counting
+a time, so a component with m weights costs O(m * |den|); its numerator
+times the previous denominator is then added in one pass.  The counting
 route expands every weight in its positive direction, so it takes any valid
 data and works on its polarization (fixed_points.polarize); the rational
 route needs none.  The rational route loads the laurent module on first use,
@@ -246,11 +247,14 @@ def character_rational(data: FixedPointData) -> LaurentPoly:
     and the final numerator is divided exactly by 2 * den, which halves the
     sum once.  The product with d is taken one binomial at a time, so a
     component with m binomial weights costs O(m * (len(num) + len(den)))
-    instead of a product with the expanded d.  The quotient is the character
-    itself.  The sum of fixed-point contributions of a genuine closed
-    manifold is a Laurent polynomial, so exact division must succeed;
-    NotDivisibleError therefore means the data is not realizable, or that
-    its halves fail to cancel.  Polarization is not required.
+    instead of a product with the expanded d.  After the binomial steps the
+    term n*den, with den the denominator before them, is added to num in
+    one pass (LaurentPoly.plus_product), without building it first.  The
+    quotient is the character itself.  The sum of fixed-point contributions
+    of a genuine closed manifold is a Laurent polynomial, so exact division
+    must succeed; NotDivisibleError therefore means the data is not
+    realizable, or that its halves fail to cancel.  Polarization is not
+    required.
     """
     # Imported here so that counting alone never compiles laurent: about
     # 1.2 ms of every fresh process that only counts (python -X importtime).
@@ -260,8 +264,8 @@ def character_rational(data: FixedPointData) -> LaurentPoly:
     num, den = LaurentPoly(), LaurentPoly({0: 1})
     for comp in data.components():
         n, weights = component_term(comp)
-        added = LaurentPoly(n) * den
+        previous = den
         for alpha in weights:
             num, den = num.times_binomial(alpha), den.times_binomial(alpha)
-        num = num + added
+        num = num.plus_product(LaurentPoly(n), previous)
     return exact_divide(num, LaurentPoly({0: 2}) * den)

@@ -5,7 +5,8 @@ variable lambda: the coefficient of lambda^beta is the multiplicity of the
 weight beta.  So one class serves both as the polynomial the rational route
 multiplies and divides and as the character it returns.  Every operation is
 exact.  The rational route's denominators are products of binomials
-1 - lambda^-a, which times_binomial multiplies in by one pass each.
+1 - lambda^-a, which times_binomial multiplies in by one pass each; its
+numerator terms are added by plus_product, the product loop behind __mul__.
 """
 
 from __future__ import annotations
@@ -108,13 +109,21 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        _check_term_pairs(len(self) * len(other))
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+        return LaurentPoly().plus_product(self, other)
+
+    def plus_product(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        """self + a * b in one pass, counting len(a) * len(b) term pairs."""
+        _check_term_pairs(len(a) * len(b))
+        out = dict(self._coeffs)
+        for e1, c1 in a._coeffs.items():
+            for e2, c2 in b._coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly._adopt({e: c for e, c in out.items() if c})
+                value = out.get(e, 0) + c1 * c2
+                if value:
+                    out[e] = value
+                else:
+                    del out[e]  # c1 * c2 is nonzero, so a zero sum had a key
+        return LaurentPoly._adopt(out)
 
     def times_binomial(self, a: int) -> LaurentPoly:
         """This polynomial times 1 - lambda^-a, in O(len(self)).

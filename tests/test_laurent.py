@@ -164,7 +164,7 @@ def test_times_binomial_counts_term_pairs_at_call_time(monkeypatch):
 def test_results_store_only_nonzero_int_coefficients(a, b, k):
     # Each result is stored exactly as LaurentPoly.__init__ would store it:
     # exact int keys and values, no zero coefficient.
-    results = [a + b, a * q(0, -1) + a, a * b, a.times_binomial(k)]
+    results = [a + b, a * q(0, -1) + a, a * b, a.times_binomial(k), b.plus_product(a, b)]
     if b:
         results.append(exact_divide(a * b, b))
     for result in results:
@@ -178,3 +178,74 @@ def test_a_sum_that_cancels_stores_nothing():
     assert not total
     assert len(total) == 0
     assert not (q(0) + q(-1)).times_binomial(0)
+
+
+def convolution(a: LaurentPoly, b: LaurentPoly) -> dict[int, int]:
+    # The product written out, so that checks of plus_product do not run
+    # through the loop that __mul__ shares with it.
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+@given(polys, polys, polys)
+def test_plus_product_adds_the_convolution(c, a, b):
+    expected = dict(c.items())
+    for e, v in convolution(a, b).items():
+        expected[e] = expected.get(e, 0) + v
+    assert c.plus_product(a, b) == LaurentPoly(expected)
+
+
+@given(polys, st.integers(-9, 9).filter(bool))
+def test_plus_product_with_a_binomial_is_times_binomial(p, k):
+    assert LaurentPoly().plus_product(LaurentPoly({0: 1, -k: -1}), p) == p.times_binomial(k)
+
+
+def test_plus_product_that_cancels_stores_nothing():
+    # (1 + x^-1)(1 - x^-1) = 1 - x^-2: the pass deletes keys it found and a
+    # key it made itself (x^-1), and nothing is left.
+    total = (q(0, -1) + q(-2)).plus_product(q(0) + q(-1), q(0) + q(-1, -1))
+    assert not total
+    assert len(total) == 0
+    assert not q(1).plus_product(q(0, -1), q(1))
+
+
+def test_plus_product_leaves_its_operands_unchanged():
+    c, a, b = q(0) + q(1, 2), q(0) + q(-1, -1), q(1, 3) + q(2)
+    before = [c.items(), a.items(), b.items()]
+    assert c.plus_product(a, b) == q(0) + q(1, 5) + q(2) + q(0, -3) + q(1, -1)
+    assert [c.items(), a.items(), b.items()] == before
+    assert a.plus_product(a, a) == a + a * a
+    assert a.items() == before[1]
+
+
+def test_plus_product_counts_the_pairs_of_its_two_factors(monkeypatch):
+    # The accumulator's own terms are not term pairs.
+    c = LaurentPoly({e: 1 for e in range(10, 20)})
+    a, b = q(0) + q(1) + q(2), q(0) + q(-5)
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", len(a) * len(b))
+    assert c.plus_product(a, b) == c + LaurentPoly(convolution(a, b))
+    monkeypatch.setattr(laurent, "MAX_QUOTIENT_TERMS", len(a) * len(b) - 1)
+    message = "a product has more than 5 term pairs, the output-support limit"
+    with pytest.raises(SupportLimitError, match=message):
+        c.plus_product(a, b)
+
+
+def test_operations_with_a_non_polynomial_are_refused():
+    p = q(0)
+    assert (p == 1) is False
+    with pytest.raises(TypeError):
+        p + 1
+    with pytest.raises(TypeError):
+        p * 1
+
+
+def test_exponent_bounds():
+    c = LaurentPoly({3: 1, -2: 4})
+    assert (c.min_exponent(), c.max_exponent()) == (-2, 3)
+    with pytest.raises(ValueError, match="zero polynomial has no exponents"):
+        LaurentPoly().min_exponent()
+    with pytest.raises(ValueError, match="zero polynomial has no exponents"):
+        LaurentPoly().max_exponent()
